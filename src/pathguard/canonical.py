@@ -24,7 +24,7 @@ from .model import (
     RawPathString,
     TokenKind,
     Whitelist,
-    whitelist_contains,
+    _trusted_canonical,
 )
 
 _log = logging.getLogger(__name__)
@@ -78,14 +78,14 @@ def canonicalize(
             underflows,
             raw.text,
         )
-    if not components:
-        return CanonicalPath("/")
-    return CanonicalPath("/" + "/".join(components))
+    # The walk only ever pushes names other than "", "." and "..", so the
+    # joined stack is canonical by construction ("/" when it is empty).
+    return _trusted_canonical("/" + "/".join(components))
 
 
 def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     """True iff the canonical form of ``raw`` is a whitelisted path."""
-    return whitelist_contains(whitelist, canonicalize(raw))
+    return canonicalize(raw) in whitelist.entries
 
 
 def canonicalize_jailed(

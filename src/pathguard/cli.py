@@ -3,8 +3,9 @@
 Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
-1 denied or violations found, 2 usage or input error. All behavior is
-flag-driven; there is no environment or config-file state.
+1 denied or violations found, 2 usage or input error; over a batch, 2 if any
+line failed outranks 1 if any line was denied. All behavior is flag-driven;
+there is no environment or config-file state.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import json
 import logging
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .baseline import load_corpus, run_differential
-from .canonical import canonicalize, canonicalize_jailed, sanitize
+from .canonical import canonicalize, canonicalize_jailed
 from .model import (
     DEFAULT_LIMITS,
     CanonicalPath,
@@ -38,6 +39,11 @@ from .verifier import (
 EXIT_OK = 0
 EXIT_DENIED = 1
 EXIT_USAGE = 2
+
+# canon and check write their answers this many lines at a time: often
+# enough that the first answers arrive while the batch is still being read,
+# seldom enough that an unbuffered stdout does not pay a write per line.
+BLOCK_LINES = 1024
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,20 +105,65 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _input_paths(args: argparse.Namespace) -> List[str]:
+def _input_paths(args: argparse.Namespace) -> Iterable[str]:
+    """The input lines, read lazily from stdin with ``--stdin``."""
     if args.stdin:
         if args.path is not None:
             raise PathError("--stdin and a path argument are mutually exclusive")
-        return [line.rstrip("\n").rstrip("\r") for line in sys.stdin]
+        return (line.rstrip("\n").rstrip("\r") for line in sys.stdin)
     if args.path is None:
         raise PathError("a path argument is required (or use --stdin)")
     return [args.path]
 
 
-def _canonical_of(args: argparse.Namespace, raw: RawPathString) -> CanonicalPath:
+def _canonicalizer(
+    args: argparse.Namespace,
+) -> Callable[[RawPathString], CanonicalPath]:
+    """The canonicalization every line gets. Validates ``--root`` once.
+
+    Raises:
+        ValueError: ``--root`` is not canonical.
+    """
     if args.root is not None:
-        return canonicalize_jailed(CanonicalPath(args.root), raw)
-    return canonicalize(raw, strict_underflow=getattr(args, "strict_underflow", False))
+        root = CanonicalPath(args.root)
+        return lambda raw: canonicalize_jailed(root, raw)
+    strict = getattr(args, "strict_underflow", False)
+    return lambda raw: canonicalize(raw, strict_underflow=strict)
+
+
+def _answer_lines(
+    args: argparse.Namespace, answer: Callable[[RawPathString], Tuple[str, bool]]
+) -> int:
+    """Write ``answer(raw)`` for every input line, BLOCK_LINES at a time.
+
+    ``answer`` returns the output line and whether the path was denied. A
+    line that fails validation is reported on stderr with its line number,
+    gets no output, and the batch carries on. Exit 2 if any line failed,
+    else 1 if any line was denied, else 0.
+    """
+    write = sys.stdout.write
+    block: List[str] = []
+    failed = denied = False
+    try:
+        for number, text in enumerate(_input_paths(args), start=1):
+            try:
+                line, deny = answer(validate_raw(text, DEFAULT_LIMITS))
+            except PathError as exc:
+                _fail(f"line {number}: {exc}" if args.stdin else str(exc))
+                failed = True
+                continue
+            block.append(line)
+            denied = denied or deny
+            if len(block) == BLOCK_LINES:
+                write("".join(block))
+                block.clear()
+    except (PathError, ValueError) as exc:  # no input, or undecodable stdin
+        _fail(str(exc))
+        failed = True
+    write("".join(block))
+    if failed:
+        return EXIT_USAGE
+    return EXIT_DENIED if denied else EXIT_OK
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
@@ -121,15 +172,10 @@ def _cmd_canon(args: argparse.Namespace) -> int:
             stream=sys.stderr, level=logging.WARNING, format="pathguard: %(message)s"
         )
     try:
-        paths = _input_paths(args)
-        lines = []
-        for text in paths:
-            raw = validate_raw(text, DEFAULT_LIMITS)
-            lines.append(_canonical_of(args, raw).text)
-    except (PathError, ValueError) as exc:
+        canonical_of = _canonicalizer(args)
+    except ValueError as exc:
         return _fail(str(exc))
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return EXIT_OK
+    return _answer_lines(args, lambda raw: (canonical_of(raw).text + "\n", False))
 
 
 def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
@@ -141,26 +187,18 @@ def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        whitelist = _load_whitelist_file(args)
-        paths = _input_paths(args)
-        decisions = []
-        for text in paths:
-            raw = validate_raw(text, DEFAULT_LIMITS)
-            canonical = _canonical_of(args, raw)
-            if args.root is not None:
-                allowed = canonical in whitelist.entries
-            else:
-                allowed = sanitize(raw, whitelist)
-            decisions.append((allowed, canonical.text))
+        canonical_of = _canonicalizer(args)
+        entries = _load_whitelist_file(args).entries
     except (OSError, PathError, ValueError) as exc:
         return _fail(str(exc))
-    out = []
-    any_denied = False
-    for allowed, text in decisions:
-        out.append(("ALLOW " if allowed else "DENY ") + text)
-        any_denied = any_denied or not allowed
-    sys.stdout.write("".join(line + "\n" for line in out))
-    return EXIT_DENIED if any_denied else EXIT_OK
+
+    def decide(raw: RawPathString) -> Tuple[str, bool]:
+        canonical = canonical_of(raw)
+        if canonical in entries:
+            return "ALLOW " + canonical.text + "\n", False
+        return "DENY " + canonical.text + "\n", True
+
+    return _answer_lines(args, decide)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -176,6 +176,23 @@ class CanonicalPath:
         return tuple(self.text[1:].split("/"))
 
 
+# Bound once: looking them up on every call costs about as much as the rest.
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _trusted_canonical(text: str) -> CanonicalPath:
+    """CanonicalPath's trusted constructor: wrap ``text`` without the rescan.
+
+    Only for text that is canonical by construction -- the stack walk's
+    output, or a line that has just passed :func:`is_canonical_text`.
+    Everything else goes through ``CanonicalPath(text)``, which validates.
+    """
+    path = _new(CanonicalPath)
+    _set(path, "text", text)
+    return path
+
+
 @dataclass(frozen=True)
 class Whitelist:
     """A validated, deduplicated set of canonical paths. Default-deny."""
@@ -223,5 +240,5 @@ def load_whitelist(
         else:
             if not is_canonical_text(stripped):
                 raise NonCanonicalEntry(line_number, stripped)
-            entries.add(CanonicalPath(stripped))
+            entries.add(_trusted_canonical(stripped))
     return Whitelist(frozenset(entries))

@@ -5,11 +5,14 @@ import pytest
 from pathguard import (
     CanonicalPath,
     ComponentStack,
+    EnumerationSpec,
     PathToken,
     PathTooLong,
     canonicalize,
     canonicalize_jailed,
     canonicalize_traced,
+    enumerate_all,
+    is_canonical_text,
     load_whitelist,
     sanitize,
     stack_to_string,
@@ -90,6 +93,22 @@ class TestCanonicalize:
         with caplog.at_level(logging.WARNING, logger="pathguard.canonical"):
             canonicalize(validate_raw("/a/b"), strict_underflow=True)
         assert not caplog.records
+
+    def test_every_output_is_canonical_without_the_rescan(self):
+        # canonicalize wraps its result without re-running is_canonical_text,
+        # so check the claim exhaustively. Unlike the residue sweep, which
+        # looks for "//", "/./" and "/../", this also catches a trailing
+        # "/..", "/." or "/".
+        bad = []
+
+        def visit(text):
+            out = canonicalize(validate_raw(text))
+            if not is_canonical_text(out.text):
+                bad.append((text, out.text))
+
+        spec = EnumerationSpec(alphabet="/.ab", max_len=8)
+        assert enumerate_all(spec, visit) == 87_381
+        assert bad == []
 
 
 class TestSanitize:

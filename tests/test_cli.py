@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from pathguard.cli import main
+from pathguard import canonicalize, validate_raw
+from pathguard.cli import BLOCK_LINES, main
 
 
 def run(capsys, *argv):
@@ -119,6 +120,99 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--whitelist", whitelist_file, "--stdin")
         assert code == 1
         assert out == "ALLOW /a/b/c\nDENY /nope\n"
+
+
+def batch_lines(n):
+    """``n`` input lines of every kind: allowed, denied, climbing, CRLF."""
+    kinds = ["/a/b/c", "./a/b/c", "../../a/b/c/", "/a//b/./c/d/..", "/etc/passwd",
+             "x/../../y", "", "//", "a/b/c\r"]
+    return [kinds[i % len(kinds)] + "/" * (i % 3) for i in range(n)]
+
+
+class TestStdinStream:
+    def test_bad_line_keeps_the_batch(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("/ok\n/a/b\n" + "x" * 5000 + "\n"))
+        code, out, err = run(capsys, "canon", "--stdin")
+        assert code == 2
+        assert out == "/ok\n/a/b\n"
+        assert "line 3" in err and "exceeds" in err
+
+    def test_every_bad_line_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("/a\x00b\n/ok\n" + "x" * 5000 + "\n"))
+        code, out, err = run(capsys, "canon", "--stdin")
+        assert code == 2
+        assert out == "/ok\n"
+        lines = err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("pathguard: line 1: ") and "NUL" in lines[0]
+        assert lines[1].startswith("pathguard: line 3: ")
+
+    def test_error_outranks_denial(self, capsys, monkeypatch, whitelist_file):
+        text = "/a/b/c\n" + "x" * 5000 + "\n/nope\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "check", "--whitelist", whitelist_file, "--stdin")
+        assert code == 2
+        assert out == "ALLOW /a/b/c\nDENY /nope\n"
+        assert "line 2" in err
+
+    def test_jailed_overflow_is_a_line_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n" + "b" * 4095 + "\nc\n"))
+        code, out, err = run(capsys, "canon", "--root", "/srv", "--stdin")
+        assert code == 2
+        assert out == "/srv/a\n/srv/c\n"
+        assert "line 2" in err
+
+    def test_undecodable_stdin_is_usage_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"/a\n\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, _, err = run(capsys, "canon", "--stdin")
+        assert code == 2
+        assert "decode" in err
+
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_non_canonical_root_rejected_before_input(
+        self, capsys, monkeypatch, whitelist_file, command
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        extra = ["--whitelist", whitelist_file] if command == "check" else []
+        code, out, err = run(capsys, command, "--root", "srv/", "--stdin", *extra)
+        assert code == 2
+        assert out == ""
+        assert "canonical" in err
+
+    def test_first_block_written_before_stdin_ends(self, monkeypatch, whitelist_file):
+        out = io.StringIO()
+        seen_at_eof = []
+
+        def stdin():
+            yield from (line + "\n" for line in batch_lines(BLOCK_LINES + 10))
+            seen_at_eof.append(out.getvalue())
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdout", out)
+        code = main(["check", "--whitelist", whitelist_file, "--stdin"])
+        assert code == 1
+        assert seen_at_eof[0].count("\n") == BLOCK_LINES
+        assert out.getvalue().startswith(seen_at_eof[0])
+        assert out.getvalue().count("\n") == BLOCK_LINES + 10
+
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_blocks_join_to_the_whole_batch_output(
+        self, capsys, monkeypatch, whitelist_file, command
+    ):
+        # 2,500 lines span three blocks; the bytes must equal those of
+        # deciding the whole batch and writing it at once.
+        lines = batch_lines(2_500)
+        canonical = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
+        if command == "canon":
+            want, want_code, extra = [c + "\n" for c in canonical], 0, []
+        else:
+            want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c + "\n" for c in canonical]
+            want_code, extra = 1, ["--whitelist", whitelist_file]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(t + "\n" for t in lines)))
+        code, out, err = run(capsys, command, "--stdin", *extra)
+        assert (code, err) == (want_code, "")
+        assert out == "".join(want)
 
 
 class TestVerify:

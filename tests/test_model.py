@@ -91,6 +91,12 @@ class TestCanonicalPath:
         with pytest.raises(ValueError):
             CanonicalPath(text)
 
+    def test_public_constructor_still_validates(self):
+        # canonicalize and load_whitelist skip the rescan; CanonicalPath(text)
+        # must not.
+        with pytest.raises(ValueError):
+            CanonicalPath("a/")
+
     def test_components(self):
         assert CanonicalPath("/").components == ()
         assert CanonicalPath("/a/b").components == ("a", "b")
