@@ -47,7 +47,6 @@ from .model import (
     is_canonical_text,
     load_whitelist,
     validate_raw,
-    whitelist_contains,
 )
 from .oracle import rewrite_canonicalize
 from .verifier import (
@@ -106,5 +105,4 @@ __all__ = [
     "total_count",
     "validate_raw",
     "verify_no_residue",
-    "whitelist_contains",
 ]

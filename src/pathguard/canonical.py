@@ -24,7 +24,7 @@ from .model import (
     RawPathString,
     TokenKind,
     Whitelist,
-    _trusted_canonical,
+    _new,
 )
 
 _log = logging.getLogger(__name__)
@@ -44,11 +44,19 @@ def stack_to_string(stack: ComponentStack) -> CanonicalPath:
     return CanonicalPath("/" + "/".join(item.text for item in stack.items))
 
 
-def _canonical_components(text: str) -> Tuple[List[str], int]:
-    """Core stack walk over raw text. Returns (components, underflow count)."""
+def _canonical_components(raw: RawPathString) -> Tuple[List[str], int]:
+    """Core stack walk over a validated path. Returns (components, underflow
+    count).
+
+    Raises:
+        TypeError: ``raw`` is not a RawPathString, so it has not passed
+            :func:`validate_raw`'s NUL and length checks.
+    """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     stack: List[str] = []
     underflows = 0
-    for part in text.split("/"):
+    for part in raw.split("/"):
         if not part or part == ".":
             continue
         if part == "..":
@@ -71,7 +79,7 @@ def canonicalize(
     with ``strict_underflow`` each such skip is logged as a probable attack
     but the returned path is unchanged.
     """
-    components, underflows = _canonical_components(raw.text)
+    components, underflows = _canonical_components(raw)
     if strict_underflow and underflows:
         _log.warning(
             "%d parent reference(s) ignored at the root in %r",
@@ -80,12 +88,16 @@ def canonicalize(
         )
     # The walk only ever pushes names other than "", "." and "..", so the
     # joined stack is canonical by construction ("/" when it is empty).
-    return _trusted_canonical("/" + "/".join(components))
+    return _new(CanonicalPath, "/" + "/".join(components))
 
 
 def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
-    """True iff the canonical form of ``raw`` is a whitelisted path."""
-    return canonicalize(raw) in whitelist.entries
+    """True iff the canonical form of ``raw`` is a whitelisted path.
+
+    The joined stack is looked up as a plain string: it equals an entry
+    exactly when it is that entry's spelling, so no wrapper is needed.
+    """
+    return "/" + "/".join(_canonical_components(raw)[0]) in whitelist.entries
 
 
 def canonicalize_jailed(
@@ -99,14 +111,17 @@ def canonicalize_jailed(
 
     Raises:
         PathTooLong: the combined string exceeds ``limits.max_path_len``.
+        TypeError: ``raw`` is not a RawPathString.
     """
-    combined = root.text + "/" + raw.text
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+    combined = root + "/" + raw
     if len(combined) > limits.max_path_len:
         raise PathTooLong(
             f"jailed path length {len(combined)} exceeds limit "
             f"{limits.max_path_len}"
         )
-    return canonicalize(RawPathString(combined))
+    return canonicalize(_new(RawPathString, combined))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .verifier import (
     DEFAULT_BUDGET,
     EnumerationSpec,
     preimages_of,
+    total_count,
     verify_no_residue,
 )
 
@@ -175,7 +176,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
         canonical_of = _canonicalizer(args)
     except ValueError as exc:
         return _fail(str(exc))
-    return _answer_lines(args, lambda raw: (canonical_of(raw).text + "\n", False))
+    return _answer_lines(args, lambda raw: (canonical_of(raw) + "\n", False))
 
 
 def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
@@ -195,8 +196,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     def decide(raw: RawPathString) -> Tuple[str, bool]:
         canonical = canonical_of(raw)
         if canonical in entries:
-            return "ALLOW " + canonical.text + "\n", False
-        return "DENY " + canonical.text + "\n", True
+            return "ALLOW " + canonical + "\n", False
+        return "DENY " + canonical + "\n", True
 
     return _answer_lines(args, decide)
 
@@ -212,31 +213,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             target = CanonicalPath(args.target)
             hits = preimages_of(spec, target, budget=args.budget)
             elapsed_ms = int((time.monotonic() - started) * 1000)
-            from .verifier import total_count
-
             if args.format == "structured":
                 doc = {
                     "mode": "preimages",
-                    "target": target.text,
-                    "visited": total_count(spec),
+                    "target": target,
                     "preimages": hits,
-                    "count": len(hits),
-                    "elapsed_ms": elapsed_ms,
+                    "summary": {
+                        "visited": total_count(spec),
+                        "count": len(hits),
+                        "elapsed_ms": elapsed_ms,
+                    },
                 }
                 print(json.dumps(doc))
             else:
                 for hit in hits:
                     print(hit)
-                print(f"{len(hits)} preimages of {target.text}")
+                print(f"{len(hits)} preimages of {target}")
             return EXIT_OK
         violations = verify_no_residue(spec, budget=args.budget)
         elapsed_ms = int((time.monotonic() - started) * 1000)
-        from .verifier import total_count
-
         if args.format == "structured":
             doc = {
                 "mode": "no-residue",
-                "visited": total_count(spec),
                 "violations": [
                     {"input": v.input, "output": v.output, "offending": v.offending}
                     for v in violations

@@ -3,6 +3,15 @@
 Everything here is immutable after construction and safe to share across
 threads. Paths are treated as opaque character sequences: no Unicode
 normalization, no filesystem access.
+
+The two path types, :class:`RawPathString` and :class:`CanonicalPath`, are
+``str`` subclasses with no instance attributes, so hashing and equality run
+as plain string operations and a whitelist lookup is a set lookup of a
+string. ``.text`` is kept for compatibility and returns the plain ``str``.
+Comparing a canonical path with a plain string is safe: a plain string
+equal to a whitelist entry is that entry's spelling, and every entry is a
+fixpoint of canonicalization, so string equality can never turn a deny
+into an allow.
 """
 
 from __future__ import annotations
@@ -61,8 +70,7 @@ class Limits:
 DEFAULT_LIMITS = Limits()
 
 
-@dataclass(frozen=True)
-class RawPathString:
+class RawPathString(str):
     """An untrusted path string that passed basic input validation.
 
     Construct through :func:`validate_raw`; direct construction skips the
@@ -70,7 +78,24 @@ class RawPathString:
     already validated the text.
     """
 
-    text: str
+    __slots__ = ()
+
+    @property
+    def text(self) -> str:
+        return str(self)
+
+    # Typed, because a validated path and a plain str would otherwise print
+    # alike in logs and test failures.
+    def __repr__(self) -> str:
+        return f"RawPathString({str.__repr__(self)})"
+
+
+# Bound once, because it is on every decision's path. ``_new(CanonicalPath,
+# text)`` is CanonicalPath's trusted constructor: it skips the rescan that
+# ``CanonicalPath(text)`` does, so it is only for text that is canonical by
+# construction -- the stack walk's output, or a line that has just passed
+# :func:`is_canonical_text`.
+_new = str.__new__
 
 
 def validate_raw(text: str, limits: Limits = DEFAULT_LIMITS) -> RawPathString:
@@ -86,7 +111,7 @@ def validate_raw(text: str, limits: Limits = DEFAULT_LIMITS) -> RawPathString:
         raise PathTooLong(
             f"path length {len(text)} exceeds limit {limits.max_path_len}"
         )
-    return RawPathString(text)
+    return _new(RawPathString, text)
 
 
 class TokenKind(enum.Enum):
@@ -158,39 +183,29 @@ def is_canonical_text(text: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalPath:
+class CanonicalPath(str):
     """A canonicalized absolute path: the single spelling used for matching."""
 
-    text: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_canonical_text(self.text):
-            raise ValueError(f"not in canonical form: {self.text!r}")
+    def __new__(cls, text: str) -> "CanonicalPath":
+        if not is_canonical_text(text):
+            raise ValueError(f"not in canonical form: {text!r}")
+        return _new(cls, text)
+
+    @property
+    def text(self) -> str:
+        return str(self)
 
     @property
     def components(self) -> tuple:
         """Component names from root outward; empty for the root path."""
-        if self.text == "/":
+        if self == "/":
             return ()
-        return tuple(self.text[1:].split("/"))
+        return tuple(self[1:].split("/"))
 
-
-# Bound once: looking them up on every call costs about as much as the rest.
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _trusted_canonical(text: str) -> CanonicalPath:
-    """CanonicalPath's trusted constructor: wrap ``text`` without the rescan.
-
-    Only for text that is canonical by construction -- the stack walk's
-    output, or a line that has just passed :func:`is_canonical_text`.
-    Everything else goes through ``CanonicalPath(text)``, which validates.
-    """
-    path = _new(CanonicalPath)
-    _set(path, "text", text)
-    return path
+    def __repr__(self) -> str:
+        return f"CanonicalPath({str.__repr__(self)})"
 
 
 @dataclass(frozen=True)
@@ -198,11 +213,6 @@ class Whitelist:
     """A validated, deduplicated set of canonical paths. Default-deny."""
 
     entries: frozenset = frozenset()
-
-
-def whitelist_contains(whitelist: Whitelist, path: CanonicalPath) -> bool:
-    """Exact string-equality membership test. An empty whitelist denies all."""
-    return path in whitelist.entries
 
 
 def load_whitelist(
@@ -240,5 +250,5 @@ def load_whitelist(
         else:
             if not is_canonical_text(stripped):
                 raise NonCanonicalEntry(line_number, stripped)
-            entries.add(_trusted_canonical(stripped))
+            entries.add(_new(CanonicalPath, stripped))
     return Whitelist(frozenset(entries))

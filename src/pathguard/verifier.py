@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, List
 
 from .canonical import canonicalize
-from .model import BudgetExceeded, CanonicalPath, RawPathString
+from .model import BudgetExceeded, CanonicalPath, RawPathString, _new
 from .oracle import rewrite_canonicalize
 
 DEFAULT_ALPHABET = "/.abc"
@@ -89,7 +89,7 @@ def verify_no_residue(
     violations: List[ResidueViolation] = []
 
     def check(text: str) -> None:
-        out = canonicalize(RawPathString(text)).text
+        out = canonicalize(_new(RawPathString, text))
         if not out.startswith("/"):
             violations.append(ResidueViolation(text, out, "missing-leading-slash"))
         if out != "/" and out.endswith("/"):
@@ -116,9 +116,9 @@ def preimages_of(
     hits: List[str] = []
 
     def check(text: str) -> None:
-        raw = RawPathString(text)
-        if canonicalize(raw).text == target.text:
-            if rewrite_canonicalize(raw).text != target.text:
+        raw = _new(RawPathString, text)
+        if canonicalize(raw) == target:
+            if rewrite_canonicalize(raw) != target:
                 raise AssertionError(
                     f"oracle divergence on {text!r}: stack says {target.text!r}"
                 )

@@ -124,6 +124,38 @@ class TestSanitize:
         w = load_whitelist("/a/b\n")
         assert sanitize(validate_raw("/a/b/c/.."), w)
 
+    def test_plain_string_lookup_equals_the_reference_walk(self):
+        # sanitize looks up the joined stack as a plain str; it must decide
+        # exactly as the CanonicalPath from canonicalize does, everywhere.
+        w = load_whitelist("/\n/a\n/ab\n/a/b\n/b/a/b\n/...\n/.a/b..\n")
+        wrong, allowed = [], [0]
+
+        def visit(text):
+            raw = validate_raw(text)
+            decision = sanitize(raw, w)
+            if decision != (canonicalize(raw) in w.entries):
+                wrong.append(text)
+            allowed[0] += decision
+
+        spec = EnumerationSpec(alphabet="/.ab", max_len=8)
+        assert enumerate_all(spec, visit) == 87_381
+        assert wrong == []
+        assert 0 < allowed[0] < 87_381
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: canonicalize("/a/../b"),
+            lambda: sanitize("/a", load_whitelist("/a\n")),
+            lambda: canonicalize_jailed(CanonicalPath("/srv"), "a"),
+        ],
+        ids=["canonicalize", "sanitize", "canonicalize_jailed"],
+    )
+    def test_plain_str_is_refused(self, call):
+        # Only validate_raw's output has passed the NUL and length checks.
+        with pytest.raises(TypeError):
+            call()
+
 
 class TestCanonicalizeTraced:
     def test_push_then_pop_pattern(self):

@@ -253,6 +253,7 @@ class TestVerify:
         assert doc["summary"]["violations"] == 0
         assert doc["violations"] == []
         assert "elapsed_ms" in doc["summary"]
+        assert sorted(doc) == ["mode", "summary", "violations"]
 
     def test_structured_preimages(self, capsys):
         code, out, _ = run(
@@ -262,8 +263,12 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert doc["mode"] == "preimages"
+        assert doc["target"] == "/a"
         assert sorted(doc["preimages"]) == ["/a", "a", "a/"]
-        assert doc["count"] == 3
+        assert sorted(doc) == ["mode", "preimages", "summary", "target"]
+        assert doc["summary"]["count"] == 3
+        assert doc["summary"]["visited"] == 13
+        assert "elapsed_ms" in doc["summary"]
 
 
 class TestDiff:

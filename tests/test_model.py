@@ -9,12 +9,12 @@ from pathguard import (
     PathToken,
     PathTooLong,
     TokenKind,
+    RawPathString,
     Whitelist,
     canonicalize,
     is_canonical_text,
     load_whitelist,
     validate_raw,
-    whitelist_contains,
 )
 
 
@@ -152,15 +152,38 @@ class TestWhitelist:
 class TestWhitelistContains:
     def test_member(self):
         w = load_whitelist("/a/b/c\n")
-        assert whitelist_contains(w, CanonicalPath("/a/b/c"))
+        assert CanonicalPath("/a/b/c") in w.entries
 
     def test_prefix_is_not_member(self):
         w = load_whitelist("/a/b/c\n")
-        assert not whitelist_contains(w, CanonicalPath("/a/b"))
+        assert CanonicalPath("/a/b") not in w.entries
 
     def test_empty_whitelist_denies_all(self):
-        assert not whitelist_contains(Whitelist(), CanonicalPath("/"))
+        assert CanonicalPath("/") not in Whitelist().entries
 
     def test_exact_string_equality(self):
         w = Whitelist(frozenset({CanonicalPath("/a")}))
-        assert not whitelist_contains(w, CanonicalPath("/ab"))
+        assert CanonicalPath("/ab") not in w.entries
+
+
+class TestPathTypesAreStrings:
+    def test_canonical_path_equals_and_hashes_as_its_text(self):
+        assert CanonicalPath("/a") == "/a"
+        assert hash(CanonicalPath("/a")) == hash("/a")
+        assert "/a" in load_whitelist("/a\n").entries
+
+    @pytest.mark.parametrize(
+        "path", [CanonicalPath("/a/b"), validate_raw("a/../b")]
+    )
+    def test_immutable_with_no_instance_dict(self, path):
+        assert not hasattr(path, "__dict__")
+        with pytest.raises(AttributeError):
+            path.text = "/x"
+        with pytest.raises(AttributeError):
+            path.extra = 1
+        assert type(path.text) is str
+        assert path.text == path
+
+    def test_validate_raw_returns_raw_path_string(self):
+        assert type(validate_raw("/a")) is RawPathString
+        assert type(canonicalize(validate_raw("/a"))) is CanonicalPath
