@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .canonical import canonicalize
-from .model import DEFAULT_LIMITS, CanonicalPath, Limits, RawPathString, validate_raw
+from .model import (
+    DEFAULT_LIMITS,
+    CanonicalPath,
+    Limits,
+    RawPathString,
+    numbered_lines,
+    validate_raw,
+)
 
 _RESIDUE_SUBSTRINGS = ("..", "//", "/./", "/../")
 
@@ -127,14 +134,4 @@ def load_corpus(
     source: Union[str, Iterable[str]], limits: Limits = DEFAULT_LIMITS
 ) -> List[RawPathString]:
     """Load raw test paths from text: one per line, "#" comments and blanks skipped."""
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
-    corpus = []
-    for line in lines:
-        stripped = line.strip(" \t\r\n")
-        if not stripped or stripped.startswith("#"):
-            continue
-        corpus.append(validate_raw(stripped, limits))
-    return corpus
+    return [validate_raw(stripped, limits) for _, stripped in numbered_lines(source)]

@@ -4,8 +4,10 @@ Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
 1 denied or violations found, 2 usage or input error; over a batch, 2 if any
-line failed outranks 1 if any line was denied. All behavior is flag-driven;
-there is no environment or config-file state.
+line failed outranks 1 if any line was denied. ``diff`` exits 1 only when
+traversal residue survives in a baseline output; a ``bottom_up_reach``
+record alone is reported but leaves the exit code at 0. All behavior is
+flag-driven; there is no environment or config-file state.
 """
 
 from __future__ import annotations
@@ -261,7 +263,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             corpus = load_corpus(fh, DEFAULT_LIMITS)
     except (OSError, PathError) as exc:
         return _fail(str(exc))
+    started = time.monotonic()
     records = run_differential(corpus)
+    elapsed_ms = int((time.monotonic() - started) * 1000)
     if args.format == "structured":
         doc = {
             "mode": "diff",
@@ -275,7 +279,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
                 }
                 for r in records
             ],
-            "summary": {"inputs": len(corpus), "divergences": len(records)},
+            "summary": {
+                "inputs": len(corpus),
+                "divergences": len(records),
+                "elapsed_ms": elapsed_ms,
+            },
         }
         print(json.dumps(doc))
     else:

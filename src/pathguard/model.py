@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 
 class PathError(ValueError):
@@ -172,15 +172,16 @@ def is_canonical_text(text: str) -> bool:
 
     A string is canonical exactly when it is "/" or it is absolute, has no
     trailing separator, and every component is a non-empty name other than
-    "." and "..".
+    "." and "..". With a "/" appended, an empty, "." or ".." component is
+    exactly an occurrence of "//", "/./" or "/../", so the check is three
+    substring searches.
     """
     if text == "/":
         return True
     if not text.startswith("/") or text.endswith("/"):
         return False
-    return all(
-        part and part not in (".", "..") for part in text[1:].split("/")
-    )
+    text += "/"
+    return "//" not in text and "/./" not in text and "/../" not in text
 
 
 class CanonicalPath(str):
@@ -208,6 +209,21 @@ class CanonicalPath(str):
         return f"CanonicalPath({str.__repr__(self)})"
 
 
+def numbered_lines(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
+    """``(line number, stripped line)`` for each line of a whitelist or
+    corpus file that holds a path.
+
+    ``source`` is the whole text or an iterable of lines. Surrounding
+    horizontal whitespace and line endings are stripped; blank lines and
+    "#" comments are skipped but still counted.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    for line_number, line in enumerate(lines, start=1):
+        stripped = line.strip(" \t\r\n")
+        if stripped and not stripped.startswith("#"):
+            yield line_number, stripped
+
+
 @dataclass(frozen=True)
 class Whitelist:
     """A validated, deduplicated set of canonical paths. Default-deny."""
@@ -233,15 +249,8 @@ def load_whitelist(
         NonCanonicalEntry: a line is not a fixpoint of canonicalization.
         EmbeddedNul, PathTooLong: propagated per line.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
     entries = set()
-    for line_number, line in enumerate(lines, start=1):
-        stripped = line.strip(" \t\r\n")
-        if not stripped or stripped.startswith("#"):
-            continue
+    for line_number, stripped in numbered_lines(source):
         raw = validate_raw(stripped, limits)
         if canonicalize_entries:
             from .canonical import canonicalize

@@ -306,10 +306,25 @@ class TestDiff:
         )
         assert code == 1
         doc = json.loads(out)
+        assert list(doc) == ["mode", "records", "summary"]
+        elapsed_ms = doc["summary"].pop("elapsed_ms")
+        assert isinstance(elapsed_ms, int) and elapsed_ms >= 0
         assert doc["summary"] == {"inputs": 2, "divergences": 2}
         by_input = {r["input"]: r for r in doc["records"]}
         assert ".." in by_input["/etc../"]["residue_found"]
         assert by_input["/etc/passwd"]["bottom_up_reach"] is True
+
+    def test_bottom_up_reach_alone_exits_zero(self, capsys, tmp_path):
+        # Only residue sets the exit code; a reach is reported, not failed.
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("/etc/passwd\n")
+        code, out, _ = run(
+            capsys, "diff", "--corpus", str(corpus), "--format", "structured"
+        )
+        assert code == 0
+        (record,) = json.loads(out)["records"]
+        assert record["bottom_up_reach"] is True
+        assert record["residue_found"] == []
 
 
 class TestUsage:

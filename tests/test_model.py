@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from pathguard import (
@@ -102,10 +104,17 @@ class TestCanonicalPath:
         assert CanonicalPath("/a/b").components == ("a", "b")
 
     def test_is_canonical_text_matches_fixpoint(self):
-        # The syntactic check must agree with "canonicalizing is identity".
-        for text in ["/", "/a", "/a/b", "a", "/a/", "/a/..", "/.", "//"]:
-            fix = canonicalize(validate_raw(text)).text == text
-            assert is_canonical_text(text) == fix
+        # The substring check must agree with "canonicalizing is identity"
+        # on every string over /.a up to length 10 (88,573 strings).
+        strings = ["/a/..", "/.", "//", "/..a", "/a..", "/.../a"]
+        strings += [
+            "".join(chars)
+            for length in range(11)
+            for chars in itertools.product("/.a", repeat=length)
+        ]
+        for text in strings:
+            fix = canonicalize(validate_raw(text)) == text
+            assert is_canonical_text(text) == fix, text
 
 
 class TestWhitelist:

@@ -1,14 +1,23 @@
+import itertools
+import os
+
 import pytest
 
 from pathguard import (
     BudgetExceeded,
     CanonicalPath,
     EnumerationSpec,
+    canonicalize,
     enumerate_all,
     preimages_of,
+    rewrite_canonicalize,
     total_count,
+    validate_raw,
     verify_no_residue,
 )
+from pathguard import verifier as verifier_module
+from pathguard.model import _new
+from pathguard.verifier import _unit_strings, _units
 
 
 class TestEnumerationSpec:
@@ -96,3 +105,138 @@ class TestPreimagesOf:
             for i, ch in enumerate(hit):
                 if ch == "/" and len(hit) + 2 <= spec.max_len:
                     assert hit[: i + 1] + "./" + hit[i + 1 :] in hits
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+    )
+
+
+def _faulty_canonicalize(raw):
+    # Leaves a trailing "/" on every non-root output of an "a/"- or
+    # "ab/"-prefixed input: the faulty strings fall in units of both shards.
+    out = canonicalize(raw)
+    if out != "/" and raw.startswith(("a/", "ab/")):
+        return _new(CanonicalPath, out + "/")
+    return out
+
+
+class TestSharding:
+    """The sweeps split their units across CPUs; nothing else may change."""
+
+    SPEC = EnumerationSpec(alphabet="/.ab", max_len=6)
+
+    def test_units_walk_in_shortlex_order(self):
+        spec = EnumerationSpec(alphabet="/.a", max_len=5)
+        walked = [s for u in _units(spec) for s in _unit_strings(spec, u)]
+        want = [
+            "".join(chars)
+            for length in range(spec.max_len + 1)
+            for chars in itertools.product(spec.alphabet, repeat=length)
+        ]
+        assert walked == want
+        assert len(walked) == total_count(spec) == 364
+        visited = []
+        assert enumerate_all(spec, visited.append) == 364
+        assert visited == want
+
+    def test_preimages_independent_of_cpu_count(self, monkeypatch):
+        target = CanonicalPath("/a/b")
+        plain = []
+
+        def collect(text):
+            if canonicalize(validate_raw(text)) == target:
+                plain.append(text)
+
+        enumerate_all(self.SPEC, collect)
+        _cpus(monkeypatch, 1)
+        one = preimages_of(self.SPEC, target)
+        _cpus(monkeypatch, 2)
+        assert preimages_of(self.SPEC, target) == one == plain
+        assert len(plain) > 10
+
+    def test_faulty_residue_independent_of_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(verifier_module, "canonicalize", _faulty_canonicalize)
+        plain = []
+
+        def collect(text):
+            out = _faulty_canonicalize(validate_raw(text))
+            if out != "/" and out.endswith("/"):
+                plain.append((text, out, "trailing-slash"))
+
+        enumerate_all(self.SPEC, collect)
+        _cpus(monkeypatch, 1)
+        one = verify_no_residue(self.SPEC)
+        _cpus(monkeypatch, 2)
+        two = verify_no_residue(self.SPEC)
+        assert two == one
+        assert [(v.input, v.output, v.offending) for v in two] == plain
+        # Faulty strings lie in units of both shards.
+        faulty = {v.input for v in two}
+        shards = {
+            index % 2
+            for index, unit in enumerate(_units(self.SPEC))
+            if faulty.intersection(_unit_strings(self.SPEC, unit))
+        }
+        assert shards == {0, 1}
+
+    def test_divergence_in_child_shard_raises_in_caller(self, monkeypatch):
+        # "a" is in unit 3 (length 1, prefix "a"), which shard 1 runs; "/a"
+        # is in shard 0. The first in shortlex order, "a", must be reported.
+        spec = EnumerationSpec(alphabet="/.a", max_len=3)
+        assert _units(spec)[3] == (1, "a") and _units(spec)[6] == (2, "/a")
+
+        def faulty_oracle(raw):
+            if raw in ("a", "/a"):
+                return CanonicalPath("/x")
+            return rewrite_canonicalize(raw)
+
+        monkeypatch.setattr(verifier_module, "rewrite_canonicalize", faulty_oracle)
+        messages = []
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            with pytest.raises(AssertionError) as err:
+                preimages_of(spec, CanonicalPath("/a"))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "oracle divergence on 'a': stack says '/a'"
+
+    def test_child_exiting_abnormally_raises_runtime_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def dying(raw):
+            if os.getpid() != caller:
+                os._exit(3)
+            return canonicalize(raw)
+
+        monkeypatch.setattr(verifier_module, "canonicalize", dying)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="status 3"):
+            verify_no_residue(self.SPEC)
+
+    def test_child_failing_after_sending_raises_runtime_error(self, monkeypatch):
+        # Only children call os._exit here; each sends its result, then exits 7.
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(7))
+        _cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="status 7"):
+            verify_no_residue(self.SPEC)
+
+    @staticmethod
+    def _forbid_fork(monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    def test_budget_checked_before_any_fork(self, monkeypatch):
+        self._forbid_fork(monkeypatch)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(BudgetExceeded):
+            verify_no_residue(EnumerationSpec(max_len=12))
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        self._forbid_fork(monkeypatch)
+        _cpus(monkeypatch, 1)
+        assert verify_no_residue(self.SPEC) == []
+        assert preimages_of(self.SPEC, CanonicalPath("/a")) != []
