@@ -20,14 +20,13 @@ import time
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .baseline import load_corpus, run_differential
-from .canonical import canonicalize, canonicalize_jailed
+from .canonical import canonicalize, canonicalize_jailed, load_whitelist
 from .model import (
     DEFAULT_LIMITS,
     CanonicalPath,
     PathError,
     RawPathString,
     Whitelist,
-    load_whitelist,
     validate_raw,
 )
 from .verifier import (
@@ -127,10 +126,10 @@ def _canonicalizer(
     Raises:
         ValueError: ``--root`` is not canonical.
     """
+    strict = getattr(args, "strict_underflow", False)
     if args.root is not None:
         root = CanonicalPath(args.root)
-        return lambda raw: canonicalize_jailed(root, raw)
-    strict = getattr(args, "strict_underflow", False)
+        return lambda raw: canonicalize_jailed(root, raw, strict_underflow=strict)
     return lambda raw: canonicalize(raw, strict_underflow=strict)
 
 

@@ -2,7 +2,9 @@
 
 Everything here is immutable after construction and safe to share across
 threads. Paths are treated as opaque character sequences: no Unicode
-normalization, no filesystem access.
+normalization, no filesystem access. The canonicalizer's stack holds plain
+``str`` names, and :func:`pathguard.canonical.load_whitelist` fills a
+:class:`Whitelist`.
 
 The two path types, :class:`RawPathString` and :class:`CanonicalPath`, are
 ``str`` subclasses with no instance attributes, so hashing and equality run
@@ -16,7 +18,6 @@ into an allow.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -46,10 +47,6 @@ class NonCanonicalEntry(PathError):
         )
         self.line_number = line_number
         self.line = line
-
-
-class InvalidName(PathError):
-    """A component name is empty or contains a separator."""
 
 
 class BudgetExceeded(PathError):
@@ -112,59 +109,6 @@ def validate_raw(text: str, limits: Limits = DEFAULT_LIMITS) -> RawPathString:
             f"path length {len(text)} exceeds limit {limits.max_path_len}"
         )
     return _new(RawPathString, text)
-
-
-class TokenKind(enum.Enum):
-    NORMAL = "normal"
-    DOT = "dot"
-    DOTDOT = "dotdot"
-
-
-@dataclass(frozen=True)
-class PathToken:
-    """One tokenized path component: a directory name, ".", or "..". """
-
-    text: str
-    kind: TokenKind
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("token text must be non-empty")
-        if "/" in self.text:
-            raise ValueError("token text must not contain '/'")
-        if self.kind is not _classify(self.text):
-            raise ValueError(
-                f"token kind {self.kind} does not match text {self.text!r}"
-            )
-
-    @classmethod
-    def from_text(cls, text: str) -> "PathToken":
-        return cls(text, _classify(text))
-
-
-def _classify(text: str) -> TokenKind:
-    if text == ".":
-        return TokenKind.DOT
-    if text == "..":
-        return TokenKind.DOTDOT
-    return TokenKind.NORMAL
-
-
-@dataclass(frozen=True)
-class ComponentStack:
-    """The canonicalizer's stack of Normal components, bottom to top.
-
-    "." and ".." tokens are consumed by the algorithm and never stored.
-    """
-
-    items: tuple = ()
-
-    def __post_init__(self) -> None:
-        for item in self.items:
-            if item.kind is not TokenKind.NORMAL:
-                raise ValueError(
-                    f"stack may only hold Normal tokens, got {item.text!r}"
-                )
 
 
 def is_canonical_text(text: str) -> bool:
@@ -230,34 +174,3 @@ class Whitelist:
 
     entries: frozenset = frozenset()
 
-
-def load_whitelist(
-    source: Union[str, Iterable[str]],
-    limits: Limits = DEFAULT_LIMITS,
-    *,
-    canonicalize_entries: bool = False,
-) -> Whitelist:
-    """Load a whitelist from line-oriented text.
-
-    One path per line; "#"-prefixed lines and blank lines are ignored;
-    surrounding horizontal whitespace is stripped; duplicates collapse.
-    Entries must already be canonical unless ``canonicalize_entries`` is
-    set -- silent rewriting would hide operator mistakes in a security
-    control, so auto-fixing is opt-in.
-
-    Raises:
-        NonCanonicalEntry: a line is not a fixpoint of canonicalization.
-        EmbeddedNul, PathTooLong: propagated per line.
-    """
-    entries = set()
-    for line_number, stripped in numbered_lines(source):
-        raw = validate_raw(stripped, limits)
-        if canonicalize_entries:
-            from .canonical import canonicalize
-
-            entries.add(canonicalize(raw))
-        else:
-            if not is_canonical_text(stripped):
-                raise NonCanonicalEntry(line_number, stripped)
-            entries.add(_new(CanonicalPath, stripped))
-    return Whitelist(frozenset(entries))

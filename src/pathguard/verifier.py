@@ -10,12 +10,12 @@ rewriting oracle).
 The enumeration is cut into work units, one per length and leading
 two-character prefix, whose walk in order is the shortlex order. The two
 sweeps fork one shard per CPU in the process's affinity mask (the caller
-runs the first itself, so a one-CPU mask forks nothing), take each shard's
-results back over a pipe with :mod:`marshal`, and merge them in unit order:
-the result, its order, and the first divergence reported are the same
-whatever the CPU count. A shard runs only the pure-Python checks and ends in
-``os._exit``, so it never runs the caller's exit handlers or flushes its
-buffers.
+runs the shard with the fewest strings itself, so a one-CPU mask forks
+nothing), take each shard's results back over a pipe with :mod:`marshal`,
+and merge them in unit order: the result, its order, and the first
+divergence reported are the same whatever the CPU count. A shard runs only
+the pure-Python checks and ends in ``os._exit``, so it never runs the
+caller's exit handlers or flushes its buffers.
 """
 
 from __future__ import annotations
@@ -129,6 +129,12 @@ def enumerate_all(
     return count
 
 
+def _shard_size(spec: EnumerationSpec, units: List[Unit]) -> int:
+    """Number of strings in the units."""
+    width = len(spec.alphabet)
+    return sum(width ** (length - len(prefix)) for length, prefix in units)
+
+
 def _run_shard(spec: EnumerationSpec, scan: Scan, units: List[Unit]) -> ShardResult:
     visited = 0
     per_unit: List[list] = []
@@ -207,19 +213,24 @@ def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
     units = _units(spec)
     n = min(_cpu_count(), len(units))
     shards = [units[i::n] for i in range(n)]
-    children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
+    # The caller also forks and merges, so it runs the smallest shard.
+    sizes = [_shard_size(spec, shard) for shard in shards]
+    mine = sizes.index(min(sizes))
+    results: List[Optional[ShardResult]] = [None] * n
+    children: List[Tuple[int, int, BinaryIO]] = []  # started, not yet reaped
     try:
-        for shard in shards[1:]:
-            children.append(_fork_shard(spec, scan, shard))
-        results = [_run_shard(spec, scan, shards[0])]
+        for index, shard in enumerate(shards):
+            if index != mine:
+                children.append((index, *_fork_shard(spec, scan, shard)))
+        results[mine] = _run_shard(spec, scan, shards[mine])
         while children:
-            pid, pipe = children[0]
+            index, pid, pipe = children[0]
             data = pipe.read()
             pipe.close()
             children.pop(0)
-            results.append(_reap(pid, data))
+            results[index] = _reap(pid, data)
     finally:
-        for pid, pipe in children:
+        for _, pid, pipe in children:
             pipe.close()
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)

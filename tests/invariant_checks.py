@@ -12,10 +12,10 @@ def trace_invariant_holds(text: str) -> bool:
     final path, or every entry beyond the common prefix is popped later."""
     final, trace = canonicalize_traced(RawPathString(text))
     target = list(final.components)
-    snapshots = trace.snapshots
-    sizes = [len(s.stack_after.items) for s in snapshots]
+    snapshots = trace
+    sizes = [len(s) for s in snapshots]
     for i, snap in enumerate(snapshots):
-        stack = [t.text for t in snap.stack_after.items]
+        stack = list(snap)
         common = 0
         while (
             common < len(stack)

@@ -1,108 +1,30 @@
-import pytest
+"""Whole-component membership on canonical paths.
 
-from pathguard import (
-    CanonicalPath,
-    InvalidName,
-    are_equivalent,
-    canonicalize,
-    contains_component,
-    is_char_prefix,
-    is_component_prefix,
-    validate_raw,
-)
+``CanonicalPath.components`` holds exactly the names that sit between
+separators, so a name is a component iff "/name/" occurs in the path with
+one "/" appended: the final component counts, a partial name does not.
+"""
 
+import itertools
 
-class TestIsCharPrefix:
-    def test_component_boundary(self):
-        assert is_char_prefix("/a", "/a/b")
-
-    def test_crosses_component_boundary(self):
-        # Character-level by definition: "/ab" does prefix "/abc".
-        assert is_char_prefix("/ab", "/abc")
-
-    def test_mismatch(self):
-        assert not is_char_prefix("/b", "/a")
-
-    def test_reflexive(self):
-        for p in ["", "/", "/a/b"]:
-            assert is_char_prefix(p, p)
-
-    def test_transitive(self):
-        paths = ["/", "/a", "/a/b", "/ab", "/abc", "/b"]
-        for p1 in paths:
-            for p2 in paths:
-                for p3 in paths:
-                    if is_char_prefix(p1, p2) and is_char_prefix(p2, p3):
-                        assert is_char_prefix(p1, p3)
-
-
-class TestIsComponentPrefix:
-    def test_leading_components(self):
-        assert is_component_prefix(CanonicalPath("/a"), CanonicalPath("/a/b"))
-
-    def test_different_components_not_prefix(self):
-        assert not is_component_prefix(CanonicalPath("/ab"), CanonicalPath("/abc"))
-
-    def test_root_prefixes_everything(self):
-        for text in ["/", "/a", "/a/b/c"]:
-            assert is_component_prefix(CanonicalPath("/"), CanonicalPath(text))
-
-    def test_implies_char_prefix_with_appended_slash(self):
-        paths = [CanonicalPath(t) for t in ["/", "/a", "/a/b", "/ab", "/abc"]]
-        for p1 in paths:
-            if p1.text == "/":
-                continue  # "/" + "/" is "//", never a char prefix
-            for p2 in paths:
-                if is_component_prefix(p1, p2):
-                    assert is_char_prefix(p1.text + "/", p2.text + "/")
-
-
-class TestAreEquivalent:
-    def test_equal_strings(self):
-        assert are_equivalent("/a/b", "/a/b")
-
-    def test_length_differs(self):
-        assert not are_equivalent("/a/b", "/a/b/")
-
-    def test_raw_not_semantic_equality(self):
-        assert not are_equivalent("//a", "/a")
-
-    def test_matches_mutual_prefix_definition(self):
-        paths = ["", "/", "/a", "/a/b", "//a", "/ab"]
-        for p1 in paths:
-            for p2 in paths:
-                expected = (
-                    len(p1) == len(p2)
-                    and is_char_prefix(p1, p2)
-                    and is_char_prefix(p2, p1)
-                )
-                assert are_equivalent(p1, p2) == expected
+from pathguard import CanonicalPath, canonicalize, validate_raw
 
 
 class TestContainsComponent:
     def test_inner_component(self):
-        assert contains_component("/etc/passwd", "etc")
+        assert "etc" in CanonicalPath("/etc/passwd").components
 
     def test_partial_name_does_not_count(self):
-        assert not contains_component("/my_dir1/", "my_dir")
+        assert "my_dir" not in CanonicalPath("/my_dir1").components
 
     def test_final_component_counts(self):
-        assert contains_component("/etc/passwd", "passwd")
-
-    def test_invalid_names(self):
-        with pytest.raises(InvalidName):
-            contains_component("/a", "")
-        with pytest.raises(InvalidName):
-            contains_component("/a", "a/b")
+        assert "passwd" in CanonicalPath("/etc/passwd").components
 
     def test_equivalent_to_component_split_on_canonical_paths(self):
-        # Brute-force oracle: split the canonical path into components.
-        import itertools
-
         for k in range(0, 6):
             for chars in itertools.product("/.ab", repeat=k):
-                text = "".join(chars)
-                canon = canonicalize(validate_raw(text))
-                parts = set(canon.components)
+                canon = canonicalize(validate_raw("".join(chars)))
                 for name in ["a", "b", "ab", "ba"]:
-                    assert contains_component(canon.text, name) == (name in parts)
+                    assert (name in canon.components) == (
+                        f"/{name}/" in canon.text + "/"
+                    )

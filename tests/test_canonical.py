@@ -4,9 +4,7 @@ import pytest
 
 from pathguard import (
     CanonicalPath,
-    ComponentStack,
     EnumerationSpec,
-    PathToken,
     PathTooLong,
     canonicalize,
     canonicalize_jailed,
@@ -15,49 +13,52 @@ from pathguard import (
     is_canonical_text,
     load_whitelist,
     sanitize,
-    stack_to_string,
-    tokenize,
     validate_raw,
 )
 
 
-def texts(tokens):
-    return [t.text for t in tokens]
-
-
 class TestTokenize:
+    """The walk's parts, seen through the trace: one snapshot per part."""
+
     def test_repeated_separators(self):
-        assert texts(tokenize(validate_raw("//a//b/c"))) == ["a", "b", "c"]
+        _, trace = canonicalize_traced(validate_raw("//a//b/c"))
+        assert trace == (("a",), ("a", "b"), ("a", "b", "c"))
 
     def test_empty_string(self):
-        assert tokenize(validate_raw("")) == ()
+        assert canonicalize_traced(validate_raw(""))[1] == ()
 
     def test_trailing_dots_are_one_normal_token(self):
-        assert texts(tokenize(validate_raw("/etc../"))) == ["etc.."]
+        assert canonicalize_traced(validate_raw("/etc../"))[1] == (("etc..",),)
 
     def test_dot_tokens_preserved(self):
-        assert texts(tokenize(validate_raw("a/.//b/c"))) == ["a", ".", "b", "c"]
+        # "." is a part of its own: it repeats the stack unchanged.
+        _, trace = canonicalize_traced(validate_raw("a/.//b/c"))
+        assert trace == (("a",), ("a",), ("a", "b"), ("a", "b", "c"))
 
     def test_reconstruction_is_canonicalization_equivalent(self):
         for text in ["//a//b/c", "a/.//b/c", "/x/../y/", "..."]:
             raw = validate_raw(text)
-            rebuilt = "/".join(texts(tokenize(raw)))
+            rebuilt = "/".join(part for part in text.split("/") if part)
             assert canonicalize(validate_raw(rebuilt)) == canonicalize(raw)
 
 
 class TestStackToString:
+    """The final stack's string form is the canonical path."""
+
     def test_empty_stack_is_root(self):
-        assert stack_to_string(ComponentStack()).text == "/"
+        final, trace = canonicalize_traced(validate_raw("a/.."))
+        assert trace[-1] == ()
+        assert final.text == "/"
 
     def test_single_item(self):
-        stack = ComponentStack((PathToken.from_text("a"),))
-        assert stack_to_string(stack).text == "/a"
+        final, trace = canonicalize_traced(validate_raw("a"))
+        assert trace[-1] == ("a",)
+        assert final.text == "/a"
 
     def test_no_trailing_separator(self):
-        stack = ComponentStack(
-            (PathToken.from_text("a"), PathToken.from_text("b"))
-        )
-        assert stack_to_string(stack).text == "/a/b"
+        final, trace = canonicalize_traced(validate_raw("a/b/"))
+        assert trace[-1] == ("a", "b")
+        assert final.text == "/a/b"
 
 
 class TestCanonicalize:
@@ -75,6 +76,8 @@ class TestCanonicalize:
             ("/etc../", "/etc.."),
             ("/a/b/c/..", "/a/b"),
             ("...", "/..."),
+            (".hidden", "/.hidden"),
+            ("etc..", "/etc.."),
         ],
     )
     def test_examples(self, text, expected):
@@ -148,8 +151,14 @@ class TestSanitize:
             lambda: canonicalize("/a/../b"),
             lambda: sanitize("/a", load_whitelist("/a\n")),
             lambda: canonicalize_jailed(CanonicalPath("/srv"), "a"),
+            lambda: canonicalize_traced("/a"),
         ],
-        ids=["canonicalize", "sanitize", "canonicalize_jailed"],
+        ids=[
+            "canonicalize",
+            "sanitize",
+            "canonicalize_jailed",
+            "canonicalize_traced",
+        ],
     )
     def test_plain_str_is_refused(self, call):
         # Only validate_raw's output has passed the NUL and length checks.
@@ -161,29 +170,24 @@ class TestCanonicalizeTraced:
     def test_push_then_pop_pattern(self):
         final, trace = canonicalize_traced(validate_raw("/a/x/../b"))
         assert final.text == "/a/b"
-        stacks = [
-            [t.text for t in snap.stack_after.items]
-            for snap in trace.snapshots
-        ]
-        assert stacks == [["a"], ["a", "x"], ["a"], ["a", "b"]]
+        assert trace == (("a",), ("a", "x"), ("a",), ("a", "b"))
 
     def test_dot_leaves_stack_unchanged(self):
         final, trace = canonicalize_traced(validate_raw("."))
         assert final.text == "/"
-        assert len(trace.snapshots) == 1
-        assert trace.snapshots[0].stack_after.items == ()
+        assert trace == ((),)
 
     def test_single_component(self):
         final, trace = canonicalize_traced(validate_raw("/a"))
         assert final.text == "/a"
-        assert [t.text for t in trace.snapshots[0].stack_after.items] == ["a"]
+        assert trace == (("a",),)
 
     def test_agrees_with_canonicalize(self):
         for text in ["", "/a/../b", "..//x/./y", "a/b/c////"]:
             raw = validate_raw(text)
             final, trace = canonicalize_traced(raw)
             assert final == canonicalize(raw)
-            assert len(trace.snapshots) == len(tokenize(raw))
+            assert len(trace) == len([part for part in text.split("/") if part])
 
 
 class TestCanonicalizeJailed:

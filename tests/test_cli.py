@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pathguard
 from pathguard import canonicalize, validate_raw
 from pathguard.cli import BLOCK_LINES, main
 
@@ -31,6 +35,22 @@ class TestCanon:
             capsys, "canon", "--root", "/srv/www", "../../etc/passwd"
         )
         assert (code, out) == (0, "/etc/passwd\n")
+
+    def test_strict_underflow_under_root_logs_the_climb(self):
+        # A child process, so the warning reaches a real stderr through the
+        # CLI's own logging set-up. "/srv/../../../etc" climbs above the
+        # root twice.
+        src = os.path.dirname(os.path.dirname(pathguard.__file__))
+        argv = ["canon", "--root", "/srv", "--strict-underflow", "../../../etc"]
+        done = subprocess.run(
+            [sys.executable, "-m", "pathguard.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (0, "/etc\n")
+        assert "2 parent reference(s) ignored at the root" in done.stderr
 
     def test_nul_is_usage_error(self, capsys):
         code, out, err = run(capsys, "canon", "/a\x00b")

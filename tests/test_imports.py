@@ -25,3 +25,9 @@ def test_import_loads_no_heavy_modules():
         check=True,
     )
     assert done.stdout.strip() == ""
+
+
+def test_export_list_resolves_without_repeats():
+    names = pathguard.__all__
+    assert [n for n in names if not hasattr(pathguard, n)] == []
+    assert len(set(names)) == len(names)

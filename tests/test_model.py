@@ -4,13 +4,10 @@ import pytest
 
 from pathguard import (
     CanonicalPath,
-    ComponentStack,
     EmbeddedNul,
     Limits,
     NonCanonicalEntry,
-    PathToken,
     PathTooLong,
-    TokenKind,
     RawPathString,
     Whitelist,
     canonicalize,
@@ -44,41 +41,6 @@ class TestValidateRaw:
     def test_limits_must_be_positive(self):
         with pytest.raises(ValueError):
             Limits(max_path_len=0)
-
-
-class TestPathToken:
-    @pytest.mark.parametrize(
-        "text,kind",
-        [
-            ("a", TokenKind.NORMAL),
-            (".", TokenKind.DOT),
-            ("..", TokenKind.DOTDOT),
-            ("...", TokenKind.NORMAL),
-            ("etc..", TokenKind.NORMAL),
-            (".hidden", TokenKind.NORMAL),
-        ],
-    )
-    def test_classification(self, text, kind):
-        assert PathToken.from_text(text).kind is kind
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            PathToken.from_text("")
-
-    def test_separator_rejected(self):
-        with pytest.raises(ValueError):
-            PathToken.from_text("a/b")
-
-    def test_kind_must_match_text(self):
-        with pytest.raises(ValueError):
-            PathToken("..", TokenKind.NORMAL)
-
-
-class TestComponentStack:
-    def test_only_normal_tokens(self):
-        ComponentStack((PathToken.from_text("a"),))
-        with pytest.raises(ValueError):
-            ComponentStack((PathToken.from_text(".."),))
 
 
 class TestCanonicalPath:

@@ -12,10 +12,10 @@ from pathguard import (
     RawPathString,
     Whitelist,
     canonicalize,
+    canonicalize_traced,
     is_canonical_text,
     rewrite_canonicalize,
     sanitize,
-    tokenize,
     validate_raw,
 )
 
@@ -69,9 +69,9 @@ def test_length_monotone_for_absolute_inputs(text):
 
 @given(path_texts)
 def test_token_count_bound(text):
-    # One stack operation or skip per token; tokens fit in ceil(L/2) + 1.
-    raw = validate_raw(text)
-    assert len(tokenize(raw)) <= (len(text) + 1) // 2 + 1
+    # One snapshot per non-empty part; those fit in ceil(L/2) + 1.
+    _, trace = canonicalize_traced(validate_raw(text))
+    assert len(trace) <= (len(text) + 1) // 2 + 1
 
 
 @given(path_texts)

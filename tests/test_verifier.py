@@ -201,6 +201,37 @@ class TestSharding:
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "oracle divergence on 'a': stack says '/a'"
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_caller_runs_the_smallest_shard(self, monkeypatch, n):
+        # The caller also forks and merges, so it must not take the most work.
+        # A child's calls land in its own copy of these lists, so the caller
+        # sees only the shard it ran itself.
+        spec = EnumerationSpec()
+        caller, forked = [], []
+        run_shard, fork_shard = verifier_module._run_shard, verifier_module._fork_shard
+
+        def run_in_caller(spec, scan, units):
+            caller.append(units)
+            return run_shard(spec, scan, units)
+
+        def fork(spec, scan, units):
+            forked.append(units)
+            return fork_shard(spec, scan, units)
+
+        def count(strings):
+            return sum(1 for _ in strings), []
+
+        monkeypatch.setattr(verifier_module, "_run_shard", run_in_caller)
+        monkeypatch.setattr(verifier_module, "_fork_shard", fork)
+        _cpus(monkeypatch, n)
+        assert verifier_module._sharded(spec, count, total_count(spec)) == []
+
+        def size(units):
+            return sum(1 for u in units for _ in _unit_strings(spec, u))
+
+        assert len(caller) == 1 and len(forked) == n - 1
+        assert all(size(caller[0]) <= size(units) for units in forked)
+
     def test_child_exiting_abnormally_raises_runtime_error(self, monkeypatch):
         caller = os.getpid()
 
