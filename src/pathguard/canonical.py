@@ -1,19 +1,25 @@
 """Stack-based lexical path canonicalization and whitelist checking.
 
-One walk, :func:`_walk`, decides every request: it splits the path on "/"
-and visits the parts left to right with a stack. Empty parts (from runs of
+The paper's algorithm is :func:`_walk`: it splits the path on "/" and
+visits the parts left to right with a stack. Empty parts (from runs of
 "/") are skipped, ordinary names are pushed, "." leaves the stack as it is,
 and ".." pops the most recent name (or is skipped when the stack is
 already empty, so climbing above the root is a no-op). The stack's string
-form is the canonical path. The traced variant runs the same walk and
-records the stack as a tuple after every non-empty part. It is a purely
-lexical transformation: no filesystem access, no symlink resolution, and
-"/" is the only separator.
+form is the canonical path. It is a purely lexical transformation: no
+filesystem access, no symlink resolution, and "/" is the only separator.
+
+Decisions take the same text from :func:`_canonical_text`, which runs
+posixpath's normpath core in C on 3.11+. The walk stays the reference: the
+test suite pins the two equal on every string over "/.ab" and "/.a" up to
+length 10 and on arbitrary text. The walk still computes the traced
+variant, which records the stack as a tuple after every non-empty part,
+and the count of ".." parts ignored at the root.
 """
 
 from __future__ import annotations
 
 import logging
+import posixpath
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .model import (
@@ -31,6 +37,12 @@ from .model import (
 )
 
 _log = logging.getLogger(__name__)
+
+# posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
+# without the public wrapper's fspath and bytes handling; the pure-Python
+# normpath on 3.10. Only validated text may reach it, because early 3.11
+# releases of the C core stopped at a NUL (CPython gh-106242).
+_normpath = getattr(posixpath, "_path_normpath", posixpath.normpath)
 
 
 def _walk(
@@ -63,6 +75,18 @@ def _walk(
     return stack, underflows
 
 
+def _canonical_text(raw: RawPathString) -> str:
+    """The walk's text, ``"/" + "/".join(stack)``, computed by normpath.
+    The leading separators are cut to one, as POSIX keeps a leading "//".
+
+    Raises:
+        TypeError: ``raw`` is not a RawPathString.
+    """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+    return _normpath("/" + raw.lstrip("/"))
+
+
 def canonicalize(
     raw: RawPathString, *, strict_underflow: bool = False
 ) -> CanonicalPath:
@@ -71,18 +95,22 @@ def canonicalize(
     Relative inputs are root-anchored: the empty stack stringifies to "/",
     so "a/b" canonicalizes to "/a/b". ".." at the root is silently skipped;
     with ``strict_underflow`` each such skip is logged as a probable attack
-    but the returned path is unchanged.
+    but the returned path is unchanged. Only then, and only when ".."
+    occurs in ``raw``, does the stack walk run to count the skips.
     """
-    stack, underflows = _walk(raw)
-    if strict_underflow and underflows:
-        _log.warning(
-            "%d parent reference(s) ignored at the root in %r",
-            underflows,
-            raw.text,
-        )
-    # The walk only ever pushes names other than "", "." and "..", so the
-    # joined stack is canonical by construction ("/" when it is empty).
-    return _new(CanonicalPath, "/" + "/".join(stack))
+    # The text equals the walk's, which only ever pushes names other than
+    # "", "." and "..": it is canonical by construction, so it is wrapped
+    # without the rescan.
+    text = _canonical_text(raw)
+    if strict_underflow and ".." in raw:
+        underflows = _walk(raw)[1]
+        if underflows:
+            _log.warning(
+                "%d parent reference(s) ignored at the root in %r",
+                underflows,
+                raw.text,
+            )
+    return _new(CanonicalPath, text)
 
 
 def canonicalize_traced(
@@ -104,10 +132,28 @@ def canonicalize_traced(
 def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     """True iff the canonical form of ``raw`` is a whitelisted path.
 
-    The joined stack is looked up as a plain string: it equals an entry
+    The canonical text is looked up as a plain string: it equals an entry
     exactly when it is that entry's spelling, so no wrapper is needed.
     """
-    return "/" + "/".join(_walk(raw)[0]) in whitelist.entries
+    return _canonical_text(raw) in whitelist.entries
+
+
+def _jail(root: CanonicalPath, raw: RawPathString, limits: Limits) -> RawPathString:
+    """``root + "/" + raw``, held to the length limit.
+
+    Raises:
+        PathTooLong: the combined string exceeds ``limits.max_path_len``.
+        TypeError: ``raw`` is not a RawPathString.
+    """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+    combined = root + "/" + raw
+    if len(combined) > limits.max_path_len:
+        raise PathTooLong(
+            f"jailed path length {len(combined)} exceeds limit "
+            f"{limits.max_path_len}"
+        )
+    return _new(RawPathString, combined)
 
 
 def canonicalize_jailed(
@@ -127,16 +173,8 @@ def canonicalize_jailed(
         PathTooLong: the combined string exceeds ``limits.max_path_len``.
         TypeError: ``raw`` is not a RawPathString.
     """
-    if not isinstance(raw, RawPathString):
-        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    combined = root + "/" + raw
-    if len(combined) > limits.max_path_len:
-        raise PathTooLong(
-            f"jailed path length {len(combined)} exceeds limit "
-            f"{limits.max_path_len}"
-        )
     return canonicalize(
-        _new(RawPathString, combined), strict_underflow=strict_underflow
+        _jail(root, raw, limits), strict_underflow=strict_underflow
     )
 
 

@@ -7,25 +7,26 @@ decision), ``verify`` (exhaustive residue sweep / preimage search), and
 line failed outranks 1 if any line was denied. ``diff`` exits 1 only when
 traversal residue survives in a baseline output; a ``bottom_up_reach``
 record alone is reported but leaves the exit code at 0. All behavior is
-flag-driven; there is no environment or config-file state.
+flag-driven; there is no environment or config-file state, and stdin and
+stdout are read and written as UTF-8 with surrogateescape whatever the
+locale, so one set of input bytes always gets the same answer bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import logging
 import sys
 import time
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
-from .canonical import canonicalize, canonicalize_jailed, load_whitelist
+from .canonical import _canonical_text, _jail, _walk, load_whitelist
 from .model import (
     DEFAULT_LIMITS,
     CanonicalPath,
     PathError,
-    RawPathString,
     Whitelist,
     validate_raw,
 )
@@ -77,6 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="auto-canonicalize whitelist entries instead of rejecting them",
     )
     check.add_argument(
+        "--strict-underflow",
+        action="store_true",
+        help="log '..' tokens ignored at the root (probable attacks)",
+    )
+    check.add_argument(
         "--stdin", action="store_true", help="read one path per line from stdin"
     )
 
@@ -107,59 +113,75 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+def _byte_exact(stream: TextIO) -> TextIO:
+    """``stream``, switched to the whitelist's codec: UTF-8 with
+    surrogateescape, so that every byte string reads, and writes back, as
+    itself whatever the locale. Only a TextIOWrapper is switched; any other
+    stream (a StringIO, say) already holds text."""
+    if isinstance(stream, io.TextIOWrapper):
+        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
+    return stream
+
+
 def _input_paths(args: argparse.Namespace) -> Iterable[str]:
     """The input lines, read lazily from stdin with ``--stdin``."""
     if args.stdin:
         if args.path is not None:
             raise PathError("--stdin and a path argument are mutually exclusive")
-        return (line.rstrip("\n").rstrip("\r") for line in sys.stdin)
+        lines = _byte_exact(sys.stdin)
+        return (line.rstrip("\n").rstrip("\r") for line in lines)
     if args.path is None:
         raise PathError("a path argument is required (or use --stdin)")
     return [args.path]
 
 
-def _canonicalizer(
-    args: argparse.Namespace,
-) -> Callable[[RawPathString], CanonicalPath]:
-    """The canonicalization every line gets. Validates ``--root`` once.
-
-    Raises:
-        ValueError: ``--root`` is not canonical.
-    """
-    strict = getattr(args, "strict_underflow", False)
-    if args.root is not None:
-        root = CanonicalPath(args.root)
-        return lambda raw: canonicalize_jailed(root, raw, strict_underflow=strict)
-    return lambda raw: canonicalize(raw, strict_underflow=strict)
-
-
 def _answer_lines(
-    args: argparse.Namespace, answer: Callable[[RawPathString], Tuple[str, bool]]
+    args: argparse.Namespace,
+    root: Optional[CanonicalPath],
+    answer: Callable[[str], Tuple[str, bool]],
 ) -> int:
-    """Write ``answer(raw)`` for every input line, BLOCK_LINES at a time.
+    """Write ``answer(canonical text)`` for every input line, BLOCK_LINES
+    at a time.
 
-    ``answer`` returns the output line and whether the path was denied. A
-    line that fails validation is reported on stderr with its line number,
-    gets no output, and the batch carries on. Exit 2 if any line failed,
-    else 1 if any line was denied, else 0.
+    A line is validated, put under ``root`` if there is one, and
+    canonicalized. ``answer`` returns the output line and whether the path
+    was denied. A line that fails validation is reported on stderr with its
+    line number, gets no output, and the batch carries on. With
+    ``--strict-underflow``, the ".." parts ignored at the root are counted
+    by the stack walk and reported on stderr with the line as sent. Exit 2
+    if any line failed, else 1 if any line was denied, else 0.
     """
     write = sys.stdout.write
+    strict = args.strict_underflow
     block: List[str] = []
     failed = denied = False
     try:
         for number, text in enumerate(_input_paths(args), start=1):
             try:
-                line, deny = answer(validate_raw(text, DEFAULT_LIMITS))
+                path = validate_raw(text, DEFAULT_LIMITS)
+                if root is not None:
+                    path = _jail(root, path, DEFAULT_LIMITS)
             except PathError as exc:
                 _fail(f"line {number}: {exc}" if args.stdin else str(exc))
                 failed = True
                 continue
+            if strict and ".." in path:
+                underflows = _walk(path)[1]
+                if underflows:
+                    warning = (
+                        f"{underflows} parent reference(s) ignored at the root"
+                        f" in {text!r}"
+                    )
+                    if args.stdin:
+                        warning = f"line {number}: {warning}"
+                    print(f"pathguard: {warning}", file=sys.stderr)
+            line, deny = answer(_canonical_text(path))
             block.append(line)
             denied = denied or deny
             if len(block) == BLOCK_LINES:
                 write("".join(block))
                 block.clear()
-    except (PathError, ValueError) as exc:  # no input, or undecodable stdin
+    except (PathError, ValueError) as exc:  # no input, or unreadable stdin
         _fail(str(exc))
         failed = True
     write("".join(block))
@@ -169,15 +191,11 @@ def _answer_lines(
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    if args.strict_underflow:
-        logging.basicConfig(
-            stream=sys.stderr, level=logging.WARNING, format="pathguard: %(message)s"
-        )
     try:
-        canonical_of = _canonicalizer(args)
+        root = None if args.root is None else CanonicalPath(args.root)
     except ValueError as exc:
         return _fail(str(exc))
-    return _answer_lines(args, lambda raw: (canonical_of(raw) + "\n", False))
+    return _answer_lines(args, root, lambda text: (text + "\n", False))
 
 
 def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
@@ -189,18 +207,17 @@ def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        canonical_of = _canonicalizer(args)
+        root = None if args.root is None else CanonicalPath(args.root)
         entries = _load_whitelist_file(args).entries
     except (OSError, PathError, ValueError) as exc:
         return _fail(str(exc))
 
-    def decide(raw: RawPathString) -> Tuple[str, bool]:
-        canonical = canonical_of(raw)
+    def decide(canonical: str) -> Tuple[str, bool]:
         if canonical in entries:
             return "ALLOW " + canonical + "\n", False
         return "DENY " + canonical + "\n", True
 
-    return _answer_lines(args, decide)
+    return _answer_lines(args, root, decide)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -299,6 +316,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    _byte_exact(sys.stdout)
     args = _build_parser().parse_args(argv)
     handlers = {
         "canon": _cmd_canon,

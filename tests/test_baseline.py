@@ -1,8 +1,11 @@
+from urllib.parse import unquote
+
 import pytest
 
 from pathguard import (
     canonicalize,
     de_dotdot,
+    is_canonical_text,
     load_corpus,
     run_differential,
     validate_raw,
@@ -96,3 +99,36 @@ class TestLoadCorpus:
             out = canonicalize(raw).text
             for bad in ("//", "/./", "/../"):
                 assert bad not in out
+
+
+class TestDecodeOrder:
+    """The input contract: decode once, canonicalize, then match.
+
+    pathguard has no percent-decoding layer. These cases fix nothing; they
+    show that a server which decodes *after* canonicalizing reopens the
+    traversal that canonicalization closed (the CVE-2018-18778 class).
+    """
+
+    @pytest.mark.parametrize(
+        "encoded,decoded_first",
+        [
+            ("/srv/www/%2e%2e/%2e%2e/etc/passwd", "/etc/passwd"),
+            ("/srv/www/..%2f..%2fetc/passwd", "/etc/passwd"),
+            ("/srv/www/%2e%2e%2f%2e%2e%2fetc%2fpasswd", "/etc/passwd"),
+            ("%2e%2e/%2e%2e/etc/shadow", "/etc/shadow"),
+            ("/srv/www/%2E%2E/.htpasswd", "/srv/.htpasswd"),
+        ],
+    )
+    def test_decoding_after_canonicalization_reopens_traversal(
+        self, encoded, decoded_first
+    ):
+        # Encoded, the dots and slashes are ordinary name characters, so the
+        # canonical form keeps them and carries no residue ...
+        canonical = canonicalize(validate_raw(encoded)).text
+        assert canonical == "/" + encoded.lstrip("/")
+        # ... until a later decoding step turns them back into "..".
+        assert "/../" in unquote(canonical) + "/"
+        # Decoded first, the climb is resolved before anything is matched.
+        out = canonicalize(validate_raw(unquote(encoded))).text
+        assert out == decoded_first
+        assert is_canonical_text(out)

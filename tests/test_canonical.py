@@ -4,6 +4,7 @@ import pytest
 
 from pathguard import (
     CanonicalPath,
+    EmbeddedNul,
     EnumerationSpec,
     PathTooLong,
     canonicalize,
@@ -13,8 +14,13 @@ from pathguard import (
     is_canonical_text,
     load_whitelist,
     sanitize,
+    total_count,
     validate_raw,
 )
+from pathguard import canonical
+from pathguard.canonical import _canonical_text, _walk
+from pathguard.model import RawPathString, _new
+from pathguard.verifier import _sharded
 
 
 class TestTokenize:
@@ -128,7 +134,7 @@ class TestSanitize:
         assert sanitize(validate_raw("/a/b/c/.."), w)
 
     def test_plain_string_lookup_equals_the_reference_walk(self):
-        # sanitize looks up the joined stack as a plain str; it must decide
+        # sanitize looks up the canonical text as a plain str; it must decide
         # exactly as the CanonicalPath from canonicalize does, everywhere.
         w = load_whitelist("/\n/a\n/ab\n/a/b\n/b/a/b\n/...\n/.a/b..\n")
         wrong, allowed = [], [0]
@@ -164,6 +170,51 @@ class TestSanitize:
         # Only validate_raw's output has passed the NUL and length checks.
         with pytest.raises(TypeError):
             call()
+
+
+def _fast_path_scan(strings):
+    """A verifier scan: the unit's count and the strings on which the fast
+    path's text differs from the stack walk's."""
+    count, diverging = 0, []
+    for count, text in enumerate(strings, 1):
+        raw = _new(RawPathString, text)
+        if _canonical_text(raw) != "/" + "/".join(_walk(raw)[0]):
+            diverging.append(text)
+    return count, [(count, diverging)]
+
+
+class TestFastPath:
+    """normpath computes every decision's text; the walk is the reference."""
+
+    @pytest.mark.parametrize(
+        "alphabet,visited", [("/.ab", 1_398_101), ("/.a", 88_573)]
+    )
+    def test_equals_the_walk_on_every_string_up_to_length_10(self, alphabet, visited):
+        # Sharded over the CPUs as the verifier's sweeps are. The "/.a"
+        # strings also lie in the "/.ab" space; that case is kept for its
+        # own exact count.
+        spec = EnumerationSpec(alphabet=alphabet, max_len=10)
+        units = _sharded(spec, _fast_path_scan, total_count(spec))
+        assert sum(count for count, _ in units) == visited
+        assert [text for _, diverging in units for text in diverging] == []
+
+    def test_nul_never_reaches_normpath(self, monkeypatch):
+        # Early 3.11 releases of the C core stopped at a NUL, which would
+        # make "/a\x00/../../etc" look like "/a". Only validate_raw's output
+        # is accepted, and validate_raw refuses the NUL first.
+        reached = []
+        monkeypatch.setattr(canonical, "_normpath", reached.append)
+        text = "/a\x00b/../c"
+        whitelist = load_whitelist("/c\n")
+        with pytest.raises(TypeError):
+            canonicalize(text)
+        with pytest.raises(TypeError):
+            sanitize(text, whitelist)
+        with pytest.raises(EmbeddedNul):
+            canonicalize(validate_raw(text))
+        with pytest.raises(EmbeddedNul):
+            sanitize(validate_raw(text), whitelist)
+        assert reached == []
 
 
 class TestCanonicalizeTraced:

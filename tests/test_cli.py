@@ -52,6 +52,24 @@ class TestCanon:
         assert (done.returncode, done.stdout) == (0, "/etc\n")
         assert "2 parent reference(s) ignored at the root" in done.stderr
 
+    def test_strict_underflow_quotes_the_line_as_sent(self, capsys):
+        code, out, err = run(
+            capsys, "canon", "--root", "/srv", "--strict-underflow", "../../../etc"
+        )
+        assert (code, out) == (0, "/etc\n")
+        assert err == (
+            "pathguard: 2 parent reference(s) ignored at the root in '../../../etc'\n"
+        )
+
+    def test_strict_underflow_names_the_stdin_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("/ok\n../x\n/etc../\n/a/../../b\n"))
+        code, out, err = run(capsys, "canon", "--stdin", "--strict-underflow")
+        assert (code, out) == (0, "/ok\n/x\n/etc..\n/b\n")
+        assert err.splitlines() == [
+            "pathguard: line 2: 1 parent reference(s) ignored at the root in '../x'",
+            "pathguard: line 4: 1 parent reference(s) ignored at the root in '/a/../../b'",
+        ]
+
     def test_nul_is_usage_error(self, capsys):
         code, out, err = run(capsys, "canon", "/a\x00b")
         assert code == 2
@@ -129,6 +147,15 @@ class TestCheck:
         )
         assert (code, out) == (0, "ALLOW /a/b\n")
 
+    def test_strict_underflow_flag(self, capsys, whitelist_file):
+        argv = ["check", "--whitelist", whitelist_file, "../../a/b/c"]
+        code, out, err = run(capsys, *argv, "--strict-underflow")
+        assert (code, out) == (0, "ALLOW /a/b/c\n")
+        assert err == (
+            "pathguard: 2 parent reference(s) ignored at the root in '../../a/b/c'\n"
+        )
+        assert run(capsys, *argv) == (0, "ALLOW /a/b/c\n", "")
+
     def test_unreadable_whitelist_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "check", "--whitelist", str(tmp_path / "missing.txt"), "/a"
@@ -182,12 +209,17 @@ class TestStdinStream:
         assert out == "/srv/a\n/srv/c\n"
         assert "line 2" in err
 
-    def test_undecodable_stdin_is_usage_error(self, capsys, monkeypatch):
-        stdin = io.TextIOWrapper(io.BytesIO(b"/a\n\xff\n"), encoding="utf-8")
+    def test_undecodable_stdin_is_answered_byte_for_byte(self, monkeypatch):
+        # Both streams are switched to UTF-8 with surrogateescape: the
+        # invalid byte is a name like any other and comes back as itself,
+        # even through an ASCII stdout.
+        stdin = io.TextIOWrapper(io.BytesIO(b"/a\n\xff/../b\n/caf\xe9\n"), encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
         monkeypatch.setattr("sys.stdin", stdin)
-        code, _, err = run(capsys, "canon", "--stdin")
-        assert code == 2
-        assert "decode" in err
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["canon", "--stdin"]) == 0
+        stdout.flush()
+        assert stdout.buffer.getvalue() == b"/a\n/b\n/caf\xe9\n"
 
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_non_canonical_root_rejected_before_input(
@@ -233,6 +265,54 @@ class TestStdinStream:
         code, out, err = run(capsys, command, "--stdin", *extra)
         assert (code, err) == (want_code, "")
         assert out == "".join(want)
+
+
+class TestByteExact:
+    """One set of bytes gets one set of answer bytes, whatever the locale.
+
+    The whitelist holds a name that is not valid UTF-8; the CLI runs as a
+    child so that Python sets its standard streams up from the environment.
+    """
+
+    ENVIRONMENTS = {
+        "C": {"LC_ALL": "C"},
+        "latin-1": {"PYTHONIOENCODING": "latin-1"},
+        "utf-8-strict": {"PYTHONIOENCODING": "utf-8:strict"},
+    }
+
+    @pytest.fixture
+    def latin1_whitelist(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"/caf\xe9\n")
+        return str(path)
+
+    def child(self, environment, argv, stdin=b""):
+        src = os.path.dirname(os.path.dirname(pathguard.__file__))
+        env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")
+        }
+        env.update(self.ENVIRONMENTS[environment], PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "pathguard.cli", *argv],
+            env=env,
+            input=stdin,
+            capture_output=True,
+            timeout=60,
+        )
+        return done.returncode, done.stdout
+
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
+    def test_stdin(self, environment, latin1_whitelist):
+        argv = ["check", "--whitelist", latin1_whitelist, "--stdin"]
+        got = self.child(environment, argv, b"/ok\n/caf\xe9\n/a/b\n")
+        assert got == (1, b"DENY /ok\nALLOW /caf\xe9\nDENY /a/b\n")
+
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
+    def test_argv(self, environment, latin1_whitelist):
+        argv = [b"check", b"--whitelist", latin1_whitelist.encode(), b"/x/../caf\xe9"]
+        assert self.child(environment, argv) == (0, b"ALLOW /caf\xe9\n")
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from pathguard import (
     sanitize,
     validate_raw,
 )
+from pathguard.canonical import _canonical_text, _walk
 
 # Small alphabets keep the interesting collisions ("." vs ".." vs names)
 # dense; a wide-unicode strategy covers the arbitrary-bytes claim.
@@ -25,6 +26,19 @@ path_texts = st.text(alphabet="/.ab", max_size=24)
 wide_texts = st.text(
     alphabet=st.characters(blacklist_characters="\x00"), max_size=40
 )
+# What the exhaustive "/.ab" sweeps never reach, for the fast path, which
+# hands the text to normpath's C core as wchar_t: non-ASCII, the lone
+# surrogates that surrogateescape makes of undecodable bytes, astral
+# characters, mixed with runs of "/", "." and "..".
+fast_path_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["/", "//", "///", ".", "..", "...", "/./", "/../"]),
+        st.characters(exclude_characters="\x00"),
+        st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
+        st.characters(min_codepoint=0x10000),
+    ),
+    max_size=30,
+).map("".join)
 
 
 @given(path_texts)
@@ -50,6 +64,12 @@ def test_oracle_equivalence(text):
 def test_oracle_equivalence_on_arbitrary_text(text):
     raw = validate_raw(text)
     assert canonicalize(raw) == rewrite_canonicalize(raw)
+
+
+@given(fast_path_texts)
+def test_fast_path_equals_the_walk_on_arbitrary_text(text):
+    raw = validate_raw(text)
+    assert _canonical_text(raw) == "/" + "/".join(_walk(raw)[0])
 
 
 @given(path_texts)
