@@ -19,13 +19,12 @@ from .canonical import (
     canonicalize_traced,
     load_whitelist,
     sanitize,
+    underflows,
 )
 from .model import (
-    DEFAULT_LIMITS,
     BudgetExceeded,
     CanonicalPath,
     EmbeddedNul,
-    Limits,
     NonCanonicalEntry,
     PathError,
     PathTooLong,
@@ -53,11 +52,9 @@ __all__ = [
     "CanonicalPath",
     "DEFAULT_ALPHABET",
     "DEFAULT_BUDGET",
-    "DEFAULT_LIMITS",
     "DivergenceRecord",
     "EmbeddedNul",
     "EnumerationSpec",
-    "Limits",
     "NonCanonicalEntry",
     "PathError",
     "PathTooLong",
@@ -77,6 +74,7 @@ __all__ = [
     "run_differential",
     "sanitize",
     "total_count",
+    "underflows",
     "validate_raw",
     "verify_no_residue",
 ]

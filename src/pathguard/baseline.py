@@ -16,21 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .canonical import canonicalize
-from .model import (
-    DEFAULT_LIMITS,
-    CanonicalPath,
-    Limits,
-    RawPathString,
-    numbered_lines,
-    validate_raw,
-)
+from .model import CanonicalPath, RawPathString, numbered_paths
 
 _RESIDUE_SUBSTRINGS = ("..", "//", "/./", "/../")
 
 # Targets the upstream servers meant to blacklist; an absolute baseline
 # output reaching one of these demonstrates the bottom-up traversal flaw.
-DEFAULT_SENSITIVE_PATHS = frozenset({"/etc/passwd", "/etc/shadow"})
-DEFAULT_SENSITIVE_NAMES = frozenset({".htpasswd"})
+SENSITIVE_PATHS = frozenset({"/etc/passwd", "/etc/shadow"})
+SENSITIVE_NAMES = frozenset({".htpasswd"})
 
 
 def de_dotdot(raw: RawPathString) -> str:
@@ -94,19 +87,15 @@ def _residue_in(text: str) -> Tuple[str, ...]:
     return tuple(s for s in _RESIDUE_SUBSTRINGS if s in text)
 
 
-def run_differential(
-    corpus: Sequence[RawPathString],
-    *,
-    sensitive_paths: frozenset = DEFAULT_SENSITIVE_PATHS,
-    sensitive_names: frozenset = DEFAULT_SENSITIVE_NAMES,
-) -> List[DivergenceRecord]:
+def run_differential(corpus: Sequence[RawPathString]) -> List[DivergenceRecord]:
     """Run both implementations over a corpus and report the gaps.
 
     A record is emitted when the baseline output differs from the
     canonicalizer's (leading-"/" root-anchoring on relative inputs is
     discounted so purely representational differences don't count), when
     traversal residue survives in the baseline output, or when the baseline
-    waves through an absolute path that reaches a known sensitive target.
+    waves through an absolute path that reaches one of SENSITIVE_PATHS or
+    a component in SENSITIVE_NAMES.
     Output order matches corpus order.
     """
     records: List[DivergenceRecord] = []
@@ -118,9 +107,9 @@ def run_differential(
             expected = expected[1:]
         residue = _residue_in(baseline)
         reach = baseline.startswith("/") and (
-            baseline in sensitive_paths
+            baseline in SENSITIVE_PATHS
             or any(
-                part in sensitive_names for part in baseline.split("/") if part
+                part in SENSITIVE_NAMES for part in baseline.split("/") if part
             )
         )
         if baseline != expected or residue or reach:
@@ -130,8 +119,8 @@ def run_differential(
     return records
 
 
-def load_corpus(
-    source: Union[str, Iterable[str]], limits: Limits = DEFAULT_LIMITS
-) -> List[RawPathString]:
-    """Load raw test paths from text: one per line, "#" comments and blanks skipped."""
-    return [validate_raw(stripped, limits) for _, stripped in numbered_lines(source)]
+def load_corpus(source: Union[str, Iterable[str]]) -> List[RawPathString]:
+    """Load raw test paths from text: one per line, lines ending at "\\n"
+    only, "#" comments and blanks skipped. A line that fails validation
+    raises EmbeddedNul or PathTooLong naming the line."""
+    return [raw for _, raw in numbered_paths(source, "corpus")]

@@ -13,30 +13,25 @@ posixpath's normpath core in C on 3.11+. The walk stays the reference: the
 test suite pins the two equal on every string over "/.ab" and "/.a" up to
 length 10 and on arbitrary text. The walk still computes the traced
 variant, which records the stack as a tuple after every non-empty part,
-and the count of ".." parts ignored at the root.
+and :func:`underflows`, the count of ".." parts ignored at the root.
 """
 
 from __future__ import annotations
 
-import logging
 import posixpath
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .model import (
-    DEFAULT_LIMITS,
+    MAX_PATH_LEN,
     CanonicalPath,
-    Limits,
     NonCanonicalEntry,
     PathTooLong,
     RawPathString,
     Whitelist,
     _new,
     is_canonical_text,
-    numbered_lines,
-    validate_raw,
+    numbered_paths,
 )
-
-_log = logging.getLogger(__name__)
 
 # posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
 # without the public wrapper's fspath and bytes handling; the pure-Python
@@ -87,30 +82,30 @@ def _canonical_text(raw: RawPathString) -> str:
     return _normpath("/" + raw.lstrip("/"))
 
 
-def canonicalize(
-    raw: RawPathString, *, strict_underflow: bool = False
-) -> CanonicalPath:
+def canonicalize(raw: RawPathString) -> CanonicalPath:
     """Reduce a validated path to its canonical absolute form.
 
     Relative inputs are root-anchored: the empty stack stringifies to "/",
     so "a/b" canonicalizes to "/a/b". ".." at the root is silently skipped;
-    with ``strict_underflow`` each such skip is logged as a probable attack
-    but the returned path is unchanged. Only then, and only when ".."
-    occurs in ``raw``, does the stack walk run to count the skips.
+    :func:`underflows` counts the skips.
     """
     # The text equals the walk's, which only ever pushes names other than
     # "", "." and "..": it is canonical by construction, so it is wrapped
     # without the rescan.
-    text = _canonical_text(raw)
-    if strict_underflow and ".." in raw:
-        underflows = _walk(raw)[1]
-        if underflows:
-            _log.warning(
-                "%d parent reference(s) ignored at the root in %r",
-                underflows,
-                raw.text,
-            )
-    return _new(CanonicalPath, text)
+    return _new(CanonicalPath, _canonical_text(raw))
+
+
+def underflows(raw: RawPathString) -> int:
+    """The number of ".." parts in ``raw`` ignored at the root: the attack
+    signal, as the stack walk counts it. Without ".." in ``raw`` it is 0,
+    and the walk does not run.
+
+    Raises:
+        TypeError: ``raw`` is not a RawPathString.
+    """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+    return _walk(raw)[1] if ".." in raw else 0
 
 
 def canonicalize_traced(
@@ -138,71 +133,60 @@ def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     return _canonical_text(raw) in whitelist.entries
 
 
-def _jail(root: CanonicalPath, raw: RawPathString, limits: Limits) -> RawPathString:
+def _jail(root: CanonicalPath, raw: RawPathString) -> RawPathString:
     """``root + "/" + raw``, held to the length limit.
 
     Raises:
-        PathTooLong: the combined string exceeds ``limits.max_path_len``.
+        PathTooLong: the combined string exceeds ``MAX_PATH_LEN``.
         TypeError: ``raw`` is not a RawPathString.
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     combined = root + "/" + raw
-    if len(combined) > limits.max_path_len:
+    if len(combined) > MAX_PATH_LEN:
         raise PathTooLong(
-            f"jailed path length {len(combined)} exceeds limit "
-            f"{limits.max_path_len}"
+            f"jailed path length {len(combined)} exceeds limit {MAX_PATH_LEN}"
         )
     return _new(RawPathString, combined)
 
 
-def canonicalize_jailed(
-    root: CanonicalPath,
-    raw: RawPathString,
-    limits: Limits = DEFAULT_LIMITS,
-    *,
-    strict_underflow: bool = False,
-) -> CanonicalPath:
+def canonicalize_jailed(root: CanonicalPath, raw: RawPathString) -> CanonicalPath:
     """Prepend an application root before canonicalizing.
 
     The result is NOT guaranteed to stay under ``root``: ".." can still
     climb out of the jail, so callers must whitelist or prefix-check the
-    result. ``strict_underflow`` is passed on to :func:`canonicalize`.
+    result.
 
     Raises:
-        PathTooLong: the combined string exceeds ``limits.max_path_len``.
+        PathTooLong: the combined string exceeds ``MAX_PATH_LEN``.
         TypeError: ``raw`` is not a RawPathString.
     """
-    return canonicalize(
-        _jail(root, raw, limits), strict_underflow=strict_underflow
-    )
+    return canonicalize(_jail(root, raw))
 
 
 def load_whitelist(
-    source: Union[str, Iterable[str]],
-    limits: Limits = DEFAULT_LIMITS,
-    *,
-    canonicalize_entries: bool = False,
+    source: Union[str, Iterable[str]], *, canonicalize_entries: bool = False
 ) -> Whitelist:
     """Load a whitelist from line-oriented text.
 
-    One path per line; "#"-prefixed lines and blank lines are ignored;
-    surrounding horizontal whitespace is stripped; duplicates collapse.
+    One path per line, lines ending at "\\n" only; "#"-prefixed lines and
+    blank lines are ignored; surrounding spaces, tabs and line endings are
+    stripped; duplicates collapse.
     Entries must already be canonical unless ``canonicalize_entries`` is
     set -- silent rewriting would hide operator mistakes in a security
     control, so auto-fixing is opt-in.
 
     Raises:
         NonCanonicalEntry: a line is not a fixpoint of canonicalization.
-        EmbeddedNul, PathTooLong: propagated per line.
+        EmbeddedNul, PathTooLong: a line fails validation; the message
+            names the line.
     """
     entries = set()
-    for line_number, stripped in numbered_lines(source):
-        raw = validate_raw(stripped, limits)
+    for line_number, raw in numbered_paths(source, "whitelist"):
         if canonicalize_entries:
             entries.add(canonicalize(raw))
         else:
-            if not is_canonical_text(stripped):
-                raise NonCanonicalEntry(line_number, stripped)
-            entries.add(_new(CanonicalPath, stripped))
+            if not is_canonical_text(raw):
+                raise NonCanonicalEntry(line_number, str(raw))
+            entries.add(_new(CanonicalPath, raw))
     return Whitelist(frozenset(entries))

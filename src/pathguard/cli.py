@@ -22,14 +22,8 @@ import time
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
-from .canonical import _canonical_text, _jail, _walk, load_whitelist
-from .model import (
-    DEFAULT_LIMITS,
-    CanonicalPath,
-    PathError,
-    Whitelist,
-    validate_raw,
-)
+from .canonical import _canonical_text, _jail, load_whitelist, underflows
+from .model import CanonicalPath, PathError, Whitelist, validate_raw
 from .verifier import (
     DEFAULT_ALPHABET,
     DEFAULT_BUDGET,
@@ -56,34 +50,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    canon = sub.add_parser("canon", help="print the canonical form of a path")
-    canon.add_argument("path", nargs="?", default=None)
-    canon.add_argument("--root", help="application root to prepend first")
-    canon.add_argument(
+    # The path arguments that canon and check share.
+    paths = argparse.ArgumentParser(add_help=False)
+    paths.add_argument("path", nargs="?", default=None)
+    paths.add_argument("--root", help="application root to prepend first")
+    paths.add_argument(
         "--strict-underflow",
         action="store_true",
         help="log '..' tokens ignored at the root (probable attacks)",
     )
-    canon.add_argument(
+    paths.add_argument(
         "--stdin", action="store_true", help="read one path per line from stdin"
     )
 
-    check = sub.add_parser("check", help="check a path against a whitelist")
-    check.add_argument("path", nargs="?", default=None)
+    sub.add_parser(
+        "canon", parents=[paths], help="print the canonical form of a path"
+    )
+
+    check = sub.add_parser(
+        "check", parents=[paths], help="check a path against a whitelist"
+    )
     check.add_argument("--whitelist", required=True, help="whitelist file")
-    check.add_argument("--root", help="application root to prepend first")
     check.add_argument(
         "--canonicalize-entries",
         action="store_true",
         help="auto-canonicalize whitelist entries instead of rejecting them",
-    )
-    check.add_argument(
-        "--strict-underflow",
-        action="store_true",
-        help="log '..' tokens ignored at the root (probable attacks)",
-    )
-    check.add_argument(
-        "--stdin", action="store_true", help="read one path per line from stdin"
     )
 
     verify = sub.add_parser(
@@ -148,7 +139,7 @@ def _answer_lines(
     was denied. A line that fails validation is reported on stderr with its
     line number, gets no output, and the batch carries on. With
     ``--strict-underflow``, the ".." parts ignored at the root are counted
-    by the stack walk and reported on stderr with the line as sent. Exit 2
+    by :func:`underflows` and reported on stderr with the line as sent. Exit 2
     if any line failed, else 1 if any line was denied, else 0.
     """
     write = sys.stdout.write
@@ -158,18 +149,18 @@ def _answer_lines(
     try:
         for number, text in enumerate(_input_paths(args), start=1):
             try:
-                path = validate_raw(text, DEFAULT_LIMITS)
+                path = validate_raw(text)
                 if root is not None:
-                    path = _jail(root, path, DEFAULT_LIMITS)
+                    path = _jail(root, path)
             except PathError as exc:
                 _fail(f"line {number}: {exc}" if args.stdin else str(exc))
                 failed = True
                 continue
-            if strict and ".." in path:
-                underflows = _walk(path)[1]
-                if underflows:
+            if strict:
+                ignored = underflows(path)
+                if ignored:
                     warning = (
-                        f"{underflows} parent reference(s) ignored at the root"
+                        f"{ignored} parent reference(s) ignored at the root"
                         f" in {text!r}"
                     )
                     if args.stdin:
@@ -198,11 +189,15 @@ def _cmd_canon(args: argparse.Namespace) -> int:
     return _answer_lines(args, root, lambda text: (text + "\n", False))
 
 
+def _open_lines(path: str) -> TextIO:
+    """A whitelist or corpus file, read with the whitelist's codec and with
+    lines that end at "\\n" only, as ``--stdin`` reads them."""
+    return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
+
+
 def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
-    with open(args.whitelist, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return load_whitelist(
-            fh, DEFAULT_LIMITS, canonicalize_entries=args.canonicalize_entries
-        )
+    with _open_lines(args.whitelist) as fh:
+        return load_whitelist(fh, canonicalize_entries=args.canonicalize_entries)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -275,8 +270,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_diff(args: argparse.Namespace) -> int:
     try:
-        with open(args.corpus, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            corpus = load_corpus(fh, DEFAULT_LIMITS)
+        with _open_lines(args.corpus) as fh:
+            corpus = load_corpus(fh)
     except (OSError, PathError) as exc:
         return _fail(str(exc))
     started = time.monotonic()

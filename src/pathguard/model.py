@@ -1,4 +1,4 @@
-"""Domain types, validation limits, and the whitelist store.
+"""Domain types, input validation, and the whitelist store.
 
 Everything here is immutable after construction and safe to share across
 threads. Paths are treated as opaque character sequences: no Unicode
@@ -21,13 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple, Union
 
+# The longest path, in characters, that validate_raw accepts.
+MAX_PATH_LEN = 4096
+
 
 class PathError(ValueError):
     """Base class for all path validation failures."""
 
 
 class PathTooLong(PathError):
-    """Input exceeds the configured maximum path length."""
+    """Input exceeds :data:`MAX_PATH_LEN`."""
 
 
 class EmbeddedNul(PathError):
@@ -51,20 +54,6 @@ class NonCanonicalEntry(PathError):
 
 class BudgetExceeded(PathError):
     """An exhaustive enumeration would visit more strings than allowed."""
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Validation limits for untrusted path input."""
-
-    max_path_len: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_path_len <= 0:
-            raise ValueError("max_path_len must be positive")
-
-
-DEFAULT_LIMITS = Limits()
 
 
 class RawPathString(str):
@@ -95,19 +84,17 @@ class RawPathString(str):
 _new = str.__new__
 
 
-def validate_raw(text: str, limits: Limits = DEFAULT_LIMITS) -> RawPathString:
+def validate_raw(text: str) -> RawPathString:
     """Validate untrusted input and wrap it as a RawPathString.
 
     Raises:
         EmbeddedNul: if the text contains a NUL byte.
-        PathTooLong: if the text exceeds ``limits.max_path_len``.
+        PathTooLong: if the text exceeds ``MAX_PATH_LEN`` characters.
     """
     if "\x00" in text:
         raise EmbeddedNul("path contains a NUL byte")
-    if len(text) > limits.max_path_len:
-        raise PathTooLong(
-            f"path length {len(text)} exceeds limit {limits.max_path_len}"
-        )
+    if len(text) > MAX_PATH_LEN:
+        raise PathTooLong(f"path length {len(text)} exceeds limit {MAX_PATH_LEN}")
     return _new(RawPathString, text)
 
 
@@ -153,19 +140,30 @@ class CanonicalPath(str):
         return f"CanonicalPath({str.__repr__(self)})"
 
 
-def numbered_lines(source: Union[str, Iterable[str]]) -> Iterator[Tuple[int, str]]:
-    """``(line number, stripped line)`` for each line of a whitelist or
-    corpus file that holds a path.
+def numbered_paths(
+    source: Union[str, Iterable[str]], kind: str
+) -> Iterator[Tuple[int, RawPathString]]:
+    """``(line number, validated path)`` for each line of a whitelist or
+    corpus file that holds a path; ``kind`` names the file in errors.
 
-    ``source`` is the whole text or an iterable of lines. Surrounding
-    horizontal whitespace and line endings are stripped; blank lines and
-    "#" comments are skipped but still counted.
+    ``source`` is the whole text or an iterable of lines, such as a file
+    opened with ``newline="\\n"``. A line ends at "\\n" only, as on
+    ``--stdin``: a "\\r" or other control character inside it is part of
+    the path. Surrounding spaces, tabs and line endings are stripped; blank
+    lines and "#" comments are skipped but counted.
+
+    Raises:
+        EmbeddedNul, PathTooLong: with ``"<kind> line N: "`` in front.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = source.split("\n") if isinstance(source, str) else source
     for line_number, line in enumerate(lines, start=1):
         stripped = line.strip(" \t\r\n")
         if stripped and not stripped.startswith("#"):
-            yield line_number, stripped
+            try:
+                raw = validate_raw(stripped)
+            except (EmbeddedNul, PathTooLong) as exc:
+                raise type(exc)(f"{kind} line {line_number}: {exc}") from None
+            yield line_number, raw
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,12 @@ def _checked_count(spec: EnumerationSpec, budget: int) -> int:
 
 # Aliases for annotations only, so they cost nothing at import.
 # Unit: (length, prefix) -- every string of that length with that prefix.
-# Scan: checks one unit's strings and returns (visited, findings in order);
-#     raises AssertionError on an oracle divergence.
-# ShardResult: (visited, findings of each unit completed, and the divergence
-#     message of the unit after the last one completed, or None).
+# Scan: checks one unit's strings and returns (visited, findings in order).
+# ShardResult: (visited, findings of each unit of the shard).
 if TYPE_CHECKING:
     Unit = Tuple[int, str]
     Scan = Callable[[Iterator[str]], Tuple[int, list]]
-    ShardResult = Tuple[int, List[list], Optional[str]]
+    ShardResult = Tuple[int, List[list]]
 
 # SIGKILL, which POSIX fixes at 9; importing the signal module for the name
 # would add more than a millisecond to every ``import pathguard``.
@@ -138,14 +136,11 @@ def _shard_size(spec: EnumerationSpec, units: List[Unit]) -> int:
 def _run_shard(spec: EnumerationSpec, scan: Scan, units: List[Unit]) -> ShardResult:
     visited = 0
     per_unit: List[list] = []
-    try:
-        for unit in units:
-            count, found = scan(_unit_strings(spec, unit))
-            visited += count
-            per_unit.append(found)
-    except AssertionError as exc:
-        return visited, per_unit, str(exc)
-    return visited, per_unit, None
+    for unit in units:
+        count, found = scan(_unit_strings(spec, unit))
+        visited += count
+        per_unit.append(found)
+    return visited, per_unit
 
 
 def _cpu_count() -> int:
@@ -204,8 +199,6 @@ def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
 
     Raises:
         BudgetExceeded: before any shard starts.
-        AssertionError: the first divergence in shortlex order, from
-            whichever shard met it.
         RuntimeError: a shard failed, or the shards did not visit every
             string exactly once.
     """
@@ -236,11 +229,7 @@ def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
             os.waitpid(pid, 0)
     merged: list = []
     for index in range(len(units)):
-        _, per_unit, divergence = results[index % n]
-        position = index // n
-        if position == len(per_unit):
-            raise AssertionError(divergence)
-        merged.extend(per_unit[position])
+        merged.extend(results[index % n][1][index // n])
     visited = sum(result[0] for result in results)
     if visited != count:
         raise RuntimeError(f"shards visited {visited} of {count} strings")
@@ -285,7 +274,7 @@ def preimages_of(
 
     Every hit is cross-checked against the rewriting oracle; a disagreement
     means one of the two implementations is broken, and the first in
-    shortlex order raises AssertionError.
+    shortlex order raises AssertionError once the sweep is done.
     """
 
     def scan(strings: Iterator[str]) -> Tuple[int, list]:
@@ -294,11 +283,13 @@ def preimages_of(
         for count, text in enumerate(strings, 1):
             raw = _new(RawPathString, text)
             if canonicalize(raw) == target:
-                if rewrite_canonicalize(raw) != target:
-                    raise AssertionError(
-                        f"oracle divergence on {text!r}: stack says {target.text!r}"
-                    )
-                hits.append(text)
+                hits.append((text, rewrite_canonicalize(raw) == target))
         return count, hits
 
-    return _sharded(spec, scan, budget)
+    hits = _sharded(spec, scan, budget)
+    for text, oracle_agrees in hits:
+        if not oracle_agrees:
+            raise AssertionError(
+                f"oracle divergence on {text!r}: stack says {target.text!r}"
+            )
+    return [text for text, _ in hits]

@@ -3,6 +3,8 @@ from urllib.parse import unquote
 import pytest
 
 from pathguard import (
+    EmbeddedNul,
+    PathTooLong,
     canonicalize,
     de_dotdot,
     is_canonical_text,
@@ -92,6 +94,24 @@ class TestLoadCorpus:
     def test_comments_blanks_and_order(self):
         corpus = load_corpus("# flaws\n/etc../\n\n./a\n")
         assert [r.text for r in corpus] == ["/etc../", "./a"]
+
+    @pytest.mark.parametrize("inner", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, inner):
+        corpus = load_corpus("/a" + inner + "b\n./c\r\n")
+        assert [r.text for r in corpus] == ["/a" + inner + "b", "./c"]
+
+    @pytest.mark.parametrize(
+        "line,error,reason",
+        [
+            ("/a\x00b", EmbeddedNul, "path contains a NUL byte"),
+            ("a" * 4097, PathTooLong, "path length 4097 exceeds limit 4096"),
+        ],
+        ids=["nul", "too-long"],
+    )
+    def test_invalid_line_names_its_line(self, line, error, reason):
+        with pytest.raises(error) as err:
+            load_corpus("/a\n\n" + line + "\n")
+        assert str(err.value) == "corpus line 3: " + reason
 
     def test_canonicalize_never_emits_residue_on_corpus(self):
         corpus = load_corpus("/etc../\n/etc/passwd\n//a//b\n../x\n")

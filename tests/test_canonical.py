@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from pathguard import (
@@ -15,6 +13,7 @@ from pathguard import (
     load_whitelist,
     sanitize,
     total_count,
+    underflows,
     validate_raw,
 )
 from pathguard import canonical
@@ -92,16 +91,36 @@ class TestCanonicalize:
     def test_total_on_max_length_input(self):
         assert canonicalize(validate_raw("/" * 4096)).text == "/"
 
-    def test_strict_underflow_logs_but_output_unchanged(self, caplog):
-        raw = validate_raw("../../x")
-        with caplog.at_level(logging.WARNING, logger="pathguard.canonical"):
-            out = canonicalize(raw, strict_underflow=True)
-        assert out.text == "/x"
-        assert any("parent reference" in r.message for r in caplog.records)
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="pathguard.canonical"):
-            canonicalize(validate_raw("/a/b"), strict_underflow=True)
-        assert not caplog.records
+    def test_underflows_equals_a_count_taken_without_the_walk(self):
+        # Each name is pushed once and each ".." pops a name or is ignored,
+        # so ignored = dot-dots - (names - names left in the result).
+        wrong, climbing = [], [0]
+
+        def visit(text):
+            raw = validate_raw(text)
+            parts = text.split("/")
+            names = sum(part not in ("", ".", "..") for part in parts)
+            left = len(canonicalize(raw).components)
+            expected = parts.count("..") - names + left
+            if underflows(raw) != expected:
+                wrong.append(text)
+            climbing[0] += expected > 0
+
+        spec = EnumerationSpec(alphabet="/.ab", max_len=8)
+        assert enumerate_all(spec, visit) == 87_381
+        assert wrong == []
+        assert climbing[0] > 0
+
+    def test_underflows_runs_no_walk_without_dotdot(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(
+            canonical, "_walk", lambda raw: walked.append(raw) or ([], 7)
+        )
+        for text in ["", "/a/b", "./a/./b", "/.a/b./", "//."]:
+            assert underflows(validate_raw(text)) == 0
+        assert walked == []
+        assert underflows(validate_raw("/a/../..")) == 7
+        assert walked == ["/a/../.."]
 
     def test_every_output_is_canonical_without_the_rescan(self):
         # canonicalize wraps its result without re-running is_canonical_text,
@@ -158,12 +177,14 @@ class TestSanitize:
             lambda: sanitize("/a", load_whitelist("/a\n")),
             lambda: canonicalize_jailed(CanonicalPath("/srv"), "a"),
             lambda: canonicalize_traced("/a"),
+            lambda: underflows("/a"),
         ],
         ids=[
             "canonicalize",
             "sanitize",
             "canonicalize_jailed",
             "canonicalize_traced",
+            "underflows",
         ],
     )
     def test_plain_str_is_refused(self, call):

@@ -37,8 +37,8 @@ class TestCanon:
         assert (code, out) == (0, "/etc/passwd\n")
 
     def test_strict_underflow_under_root_logs_the_climb(self):
-        # A child process, so the warning reaches a real stderr through the
-        # CLI's own logging set-up. "/srv/../../../etc" climbs above the
+        # A child process, so the warning is read from a real stderr, which
+        # the CLI writes to directly. "/srv/../../../etc" climbs above the
         # root twice.
         src = os.path.dirname(os.path.dirname(pathguard.__file__))
         argv = ["canon", "--root", "/srv", "--strict-underflow", "../../../etc"]
@@ -155,6 +155,31 @@ class TestCheck:
             "pathguard: 2 parent reference(s) ignored at the root in '../../a/b/c'\n"
         )
         assert run(capsys, *argv) == (0, "ALLOW /a/b/c\n", "")
+
+    def test_whitelist_lines_end_at_newline_only(self, capsys, monkeypatch, tmp_path):
+        # A "\r" inside a line is part of the path, on stdin and in the file.
+        wl = tmp_path / "w.txt"
+        wl.write_bytes(b"/a\rb\n/c\r\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("/a\rb\n/c\n/b\n"))
+        code, out, err = run(capsys, "check", "--whitelist", str(wl), "--stdin")
+        assert (code, out, err) == (1, "ALLOW /a\rb\nALLOW /c\nDENY /b\n", "")
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            (b"/b\x00", "path contains a NUL byte"),
+            (b"/" + b"b" * 4096, "path length 4097 exceeds limit 4096"),
+        ],
+        ids=["nul", "too-long"],
+    )
+    def test_invalid_whitelist_line_names_its_line(
+        self, capsys, tmp_path, line, reason
+    ):
+        wl = tmp_path / "w.txt"
+        wl.write_bytes(b"/a\n" + line + b"\n")
+        code, out, err = run(capsys, "check", "--whitelist", str(wl), "/a")
+        assert (code, out) == (2, "")
+        assert err == f"pathguard: whitelist line 2: {reason}\n"
 
     def test_unreadable_whitelist_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -393,6 +418,19 @@ class TestDiff:
         corpus.write_text("/a//b\n")
         code, _, _ = run(capsys, "diff", "--corpus", str(corpus))
         assert code == 0
+
+    def test_corpus_lines_end_at_newline_only(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"/a\rb\n/c\r\n")
+        code, out, _ = run(capsys, "diff", "--corpus", str(corpus))
+        assert (code, out) == (0, "0 divergences / 2 inputs\n")
+
+    def test_invalid_corpus_line_names_its_line(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"# corpus\n" + b"a" * 4097 + b"\n")
+        code, out, err = run(capsys, "diff", "--corpus", str(corpus))
+        assert (code, out) == (2, "")
+        assert err == "pathguard: corpus line 2: path length 4097 exceeds limit 4096\n"
 
     def test_unreadable_corpus_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "diff", "--corpus", str(tmp_path / "nope.txt"))

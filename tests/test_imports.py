@@ -4,9 +4,9 @@ import sys
 
 import pathguard
 
-# Serve and batch processes import the package too; these would raise their
-# peak memory for a feature only the verifier's shards use.
-HEAVY = ("pickle", "multiprocessing", "concurrent.futures")
+# Serve and batch processes import the package too; each of these would add
+# to their start-up time and peak memory, and no decision needs one.
+HEAVY = ("pickle", "multiprocessing", "concurrent.futures", "logging")
 
 
 def test_import_loads_no_heavy_modules():

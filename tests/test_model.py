@@ -5,7 +5,6 @@ import pytest
 from pathguard import (
     CanonicalPath,
     EmbeddedNul,
-    Limits,
     NonCanonicalEntry,
     PathTooLong,
     RawPathString,
@@ -31,16 +30,6 @@ class TestValidateRaw:
     def test_embedded_nul_rejected(self):
         with pytest.raises(EmbeddedNul):
             validate_raw("/a\x00/b")
-
-    def test_custom_limit(self):
-        limits = Limits(max_path_len=3)
-        assert validate_raw("abc", limits).text == "abc"
-        with pytest.raises(PathTooLong):
-            validate_raw("abcd", limits)
-
-    def test_limits_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Limits(max_path_len=0)
 
 
 class TestCanonicalPath:
@@ -111,8 +100,23 @@ class TestWhitelist:
         assert w.entries == frozenset({CanonicalPath("/a/b")})
 
     def test_nul_propagated_per_line(self):
-        with pytest.raises(EmbeddedNul):
-            load_whitelist("/a\x00b\n")
+        with pytest.raises(EmbeddedNul) as err:
+            load_whitelist("# header\n/a\n/a\x00b\n")
+        assert str(err.value) == "whitelist line 3: path contains a NUL byte"
+
+    def test_too_long_line_names_its_line(self):
+        with pytest.raises(PathTooLong) as err:
+            load_whitelist("/a\n/" + "a" * 4096 + "\n")
+        assert str(err.value) == (
+            "whitelist line 2: path length 4097 exceeds limit 4096"
+        )
+
+    @pytest.mark.parametrize("inner", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, inner):
+        # str.splitlines would cut "/a" + inner + "b" in two, and "b" is not
+        # canonical; --stdin reads the same text as one path.
+        w = load_whitelist("/a" + inner + "b\n/c\r\n")
+        assert w.entries == frozenset({"/a" + inner + "b", "/c"})
 
     def test_entries_are_fixpoints(self):
         w = load_whitelist("/a/b/c\n/x\n/\n")
