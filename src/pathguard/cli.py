@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     paths.add_argument(
         "--strict-underflow",
         action="store_true",
-        help="log '..' tokens ignored at the root (probable attacks)",
+        help="report on stderr the count of '..' parts ignored at the root "
+        "(probable attacks)",
     )
     paths.add_argument(
         "--stdin", action="store_true", help="read one path per line from stdin"
@@ -190,9 +191,9 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 
 def _open_lines(path: str) -> TextIO:
-    """A whitelist or corpus file, read with the whitelist's codec and with
-    lines that end at "\\n" only, as ``--stdin`` reads them."""
-    return open(path, encoding="utf-8", errors="surrogateescape", newline="\n")
+    """A whitelist or corpus file, read with the whitelist's codec. The
+    loaders end its lines at "\\n" only, as ``--stdin`` reads them."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
 
 
 def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:

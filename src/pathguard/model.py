@@ -18,6 +18,7 @@ into an allow.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -146,15 +147,21 @@ def numbered_paths(
     """``(line number, validated path)`` for each line of a whitelist or
     corpus file that holds a path; ``kind`` names the file in errors.
 
-    ``source`` is the whole text or an iterable of lines, such as a file
-    opened with ``newline="\\n"``. A line ends at "\\n" only, as on
-    ``--stdin``: a "\\r" or other control character inside it is part of
-    the path. Surrounding spaces, tabs and line endings are stripped; blank
-    lines and "#" comments are skipped but counted.
+    ``source`` is the whole text or an iterable of lines, such as an open
+    file. A line ends at "\\n" only, as on ``--stdin``: a "\\r" or other
+    control character inside it is part of the path. A file opened in text
+    mode is switched to ``newline="\\n"`` before it is read, so universal
+    newlines cannot split a line at a "\\r". Surrounding spaces, tabs and
+    line endings are stripped; blank lines and "#" comments are skipped but
+    counted.
 
     Raises:
         EmbeddedNul, PathTooLong: with ``"<kind> line N: "`` in front.
+        io.UnsupportedOperation: ``source`` is a text file that has already
+            been read from, so its newline mode can no longer be switched.
     """
+    if isinstance(source, io.TextIOWrapper):
+        source.reconfigure(newline="\n")
     lines = source.split("\n") if isinstance(source, str) else source
     for line_number, line in enumerate(lines, start=1):
         stripped = line.strip(" \t\r\n")

@@ -100,6 +100,13 @@ class TestLoadCorpus:
         corpus = load_corpus("/a" + inner + "b\n./c\r\n")
         assert [r.text for r in corpus] == ["/a" + inner + "b", "./c"]
 
+    def test_file_in_default_text_mode_ends_lines_at_newline_only(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"/a\rb\n./c\r\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            corpus = load_corpus(fh)
+        assert [r.text for r in corpus] == ["/a\rb", "./c"]
+
     @pytest.mark.parametrize(
         "line,error,reason",
         [

@@ -118,6 +118,14 @@ class TestWhitelist:
         w = load_whitelist("/a" + inner + "b\n/c\r\n")
         assert w.entries == frozenset({"/a" + inner + "b", "/c"})
 
+    def test_file_in_default_text_mode_ends_lines_at_newline_only(self, tmp_path):
+        # Universal newlines would read "/a\rb" as "/a" and "b".
+        path = tmp_path / "whitelist.txt"
+        path.write_bytes(b"/a\rb\n/c\r\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            w = load_whitelist(fh)
+        assert w.entries == frozenset({"/a\rb", "/c"})
+
     def test_entries_are_fixpoints(self):
         w = load_whitelist("/a/b/c\n/x\n/\n")
         for entry in w.entries:

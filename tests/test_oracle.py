@@ -1,8 +1,41 @@
 import itertools
+import random
 
 import pytest
 
 from pathguard import canonicalize, rewrite_canonicalize, validate_raw
+from pathguard.model import MAX_PATH_LEN
+
+
+def _fill(unit: str) -> str:
+    """``unit`` repeated, cut to exactly MAX_PATH_LEN characters."""
+    return (unit * (MAX_PATH_LEN // len(unit) + 1))[:MAX_PATH_LEN]
+
+
+def _nested() -> str:
+    depth = MAX_PATH_LEN // 5
+    return ("/" + "a/" * depth + "../" * depth).rjust(MAX_PATH_LEN, "/")
+
+
+def _mixed(seed: int) -> str:
+    rng = random.Random(seed)
+    parts = ["a", "bc", ".", "..", "", "...", ".a", "a.."]
+    text = ""
+    while len(text) < MAX_PATH_LEN:
+        text += rng.choice(parts) + "/"
+    return text[:MAX_PATH_LEN]
+
+
+# Paths of the longest accepted length, far past the exhaustive sweeps'
+# length 10: deep nesting that unwinds to the root, and long runs of each
+# rule's redex.
+LONG_PATHS = {
+    "nested": _nested(),
+    "dotdot-run": _fill("../"),
+    "dot-run": _fill("./"),
+    "slash-run": _fill("/"),
+    **{f"mixed-{seed}": _mixed(seed) for seed in range(20)},
+}
 
 
 class TestRewriteCanonicalize:
@@ -39,6 +72,21 @@ class TestRewriteCanonicalize:
             for chars in itertools.product("/.ab", repeat=k):
                 raw = validate_raw("".join(chars))
                 assert rewrite_canonicalize(raw) == canonicalize(raw)
+
+    @pytest.mark.parametrize("text", LONG_PATHS.values(), ids=LONG_PATHS.keys())
+    def test_agrees_with_stack_canonicalizer_at_max_length(self, text):
+        raw = validate_raw(text)
+        assert len(raw) == MAX_PATH_LEN
+        assert rewrite_canonicalize(raw) == canonicalize(raw)
+
+    def test_runs_unwind_to_the_root(self):
+        for name in ("nested", "dotdot-run", "dot-run", "slash-run"):
+            assert rewrite_canonicalize(validate_raw(LONG_PATHS[name])) == "/"
+
+    def test_plain_str_is_refused(self):
+        # A plain str has not passed validate_raw's NUL and length checks.
+        with pytest.raises(TypeError):
+            rewrite_canonicalize("/a/../b")
 
     def test_shares_no_code_with_canonicalizer(self):
         # Independence guard: the oracle module must not import the stack
