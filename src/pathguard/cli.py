@@ -23,7 +23,7 @@ from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_text, _jail, load_whitelist, underflows
-from .model import CanonicalPath, PathError, Whitelist, validate_raw
+from .model import CanonicalPath, PathError, validate_raw
 from .verifier import (
     DEFAULT_ALPHABET,
     DEFAULT_BUDGET,
@@ -64,13 +64,18 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stdin", action="store_true", help="read one path per line from stdin"
     )
 
+    # The report format that verify and diff share.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("plain", "structured"), default="plain")
+
     sub.add_parser(
         "canon", parents=[paths], help="print the canonical form of a path"
-    )
+    ).set_defaults(run=_cmd_canon)
 
     check = sub.add_parser(
         "check", parents=[paths], help="check a path against a whitelist"
     )
+    check.set_defaults(run=_cmd_check)
     check.add_argument("--whitelist", required=True, help="whitelist file")
     check.add_argument(
         "--canonicalize-entries",
@@ -79,23 +84,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     verify = sub.add_parser(
-        "verify", help="exhaustive sweep: residue check or preimage search"
+        "verify",
+        parents=[report],
+        help="exhaustive sweep: residue check or preimage search",
     )
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--max-len", type=int, default=8)
     verify.add_argument("--alphabet", default=DEFAULT_ALPHABET)
     verify.add_argument("--target", help="list preimages of this canonical path")
-    verify.add_argument(
-        "--format", choices=("plain", "structured"), default="plain"
-    )
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     diff = sub.add_parser(
-        "diff", help="differential run against the legacy de_dotdot baseline"
+        "diff",
+        parents=[report],
+        help="differential run against the legacy de_dotdot baseline",
     )
+    diff.set_defaults(run=_cmd_diff)
     diff.add_argument("--corpus", required=True, help="corpus file")
-    diff.add_argument(
-        "--format", choices=("plain", "structured"), default="plain"
-    )
 
     return parser
 
@@ -196,15 +201,13 @@ def _open_lines(path: str) -> TextIO:
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _load_whitelist_file(args: argparse.Namespace) -> Whitelist:
-    with _open_lines(args.whitelist) as fh:
-        return load_whitelist(fh, canonicalize_entries=args.canonicalize_entries)
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         root = None if args.root is None else CanonicalPath(args.root)
-        entries = _load_whitelist_file(args).entries
+        with _open_lines(args.whitelist) as fh:
+            entries = load_whitelist(
+                fh, canonicalize_entries=args.canonicalize_entries
+            ).entries
     except (OSError, PathError, ValueError) as exc:
         return _fail(str(exc))
 
@@ -216,57 +219,37 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _answer_lines(args, root, decide)
 
 
+def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) -> None:
+    """Put the time since ``started`` in ``doc["summary"]``, then print
+    ``doc`` as one JSON line with ``--format structured``, else ``lines``."""
+    doc["summary"]["elapsed_ms"] = int((time.monotonic() - started) * 1000)
+    if args.format == "structured":
+        print(json.dumps(doc))
+    else:
+        print("\n".join(lines))
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         spec = EnumerationSpec(alphabet=args.alphabet, max_len=args.max_len)
-    except ValueError as exc:
-        return _fail(str(exc))
-    started = time.monotonic()
-    try:
-        if args.target is not None:
-            target = CanonicalPath(args.target)
-            hits = preimages_of(spec, target, budget=args.budget)
-            elapsed_ms = int((time.monotonic() - started) * 1000)
-            if args.format == "structured":
-                doc = {
-                    "mode": "preimages",
-                    "target": target,
-                    "preimages": hits,
-                    "summary": {
-                        "visited": total_count(spec),
-                        "count": len(hits),
-                        "elapsed_ms": elapsed_ms,
-                    },
-                }
-                print(json.dumps(doc))
-            else:
-                for hit in hits:
-                    print(hit)
-                print(f"{len(hits)} preimages of {target}")
-            return EXIT_OK
-        violations = verify_no_residue(spec, budget=args.budget)
-        elapsed_ms = int((time.monotonic() - started) * 1000)
-        if args.format == "structured":
-            doc = {
-                "mode": "no-residue",
-                "violations": [
-                    {"input": v.input, "output": v.output, "offending": v.offending}
-                    for v in violations
-                ],
-                "summary": {
-                    "visited": total_count(spec),
-                    "violations": len(violations),
-                    "elapsed_ms": elapsed_ms,
-                },
-            }
-            print(json.dumps(doc))
+        started = time.monotonic()
+        if args.target is None:
+            found = verify_no_residue(spec, budget=args.budget)
+            visited = total_count(spec)
+            doc = {"mode": "no-residue", "violations": [vars(v) for v in found]}
+            doc["summary"] = {"visited": visited, "violations": len(found)}
+            lines = [f"{v.input} -> {v.output} [{v.offending}]" for v in found]
+            lines.append(f"{len(found)} violations / {visited} visited")
         else:
-            for v in violations:
-                print(f"{v.input} -> {v.output} [{v.offending}]")
-            print(f"{len(violations)} violations / {total_count(spec)} visited")
-        return EXIT_OK if not violations else EXIT_DENIED
+            target = CanonicalPath(args.target)
+            found = preimages_of(spec, target, budget=args.budget)
+            doc = {"mode": "preimages", "target": target, "preimages": found}
+            doc["summary"] = {"visited": total_count(spec), "count": len(found)}
+            lines = [*found, f"{len(found)} preimages of {target}"]
     except (PathError, ValueError) as exc:
         return _fail(str(exc))
+    _report(args, doc, lines, started)
+    return EXIT_DENIED if args.target is None and found else EXIT_OK
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -277,50 +260,23 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     started = time.monotonic()
     records = run_differential(corpus)
-    elapsed_ms = int((time.monotonic() - started) * 1000)
-    if args.format == "structured":
-        doc = {
-            "mode": "diff",
-            "records": [
-                {
-                    "input": r.input.text,
-                    "baseline_output": r.baseline_output,
-                    "canonical_output": r.canonical_output.text,
-                    "residue_found": list(r.residue_found),
-                    "bottom_up_reach": r.bottom_up_reach,
-                }
-                for r in records
-            ],
-            "summary": {
-                "inputs": len(corpus),
-                "divergences": len(records),
-                "elapsed_ms": elapsed_ms,
-            },
-        }
-        print(json.dumps(doc))
-    else:
-        for r in records:
-            residue = ",".join(r.residue_found) or "-"
-            reach = " bottom-up-reach" if r.bottom_up_reach else ""
-            print(
-                f"{r.input.text} | baseline={r.baseline_output} "
-                f"| canonical={r.canonical_output.text} | residue={residue}{reach}"
-            )
-        print(f"{len(records)} divergences / {len(corpus)} inputs")
-    flagged = any(r.residue_found for r in records)
-    return EXIT_DENIED if flagged else EXIT_OK
+    doc = {"mode": "diff", "records": [vars(r) for r in records]}
+    doc["summary"] = {"inputs": len(corpus), "divergences": len(records)}
+    lines = [
+        f"{r.input} | baseline={r.baseline_output} | canonical={r.canonical_output}"
+        f" | residue={','.join(r.residue_found) or '-'}"
+        f"{' bottom-up-reach' if r.bottom_up_reach else ''}"
+        for r in records
+    ]
+    lines.append(f"{len(records)} divergences / {len(corpus)} inputs")
+    _report(args, doc, lines, started)
+    return EXIT_DENIED if any(r.residue_found for r in records) else EXIT_OK
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     _byte_exact(sys.stdout)
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "canon": _cmd_canon,
-        "check": _cmd_check,
-        "verify": _cmd_verify,
-        "diff": _cmd_diff,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 def run() -> None:

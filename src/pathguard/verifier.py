@@ -67,11 +67,15 @@ def total_count(spec: EnumerationSpec) -> int:
 
 
 def _checked_count(spec: EnumerationSpec, budget: int) -> int:
-    count = total_count(spec)
-    if count > budget:
-        raise BudgetExceeded(
-            f"enumeration of {count} strings exceeds budget {budget}"
-        )
+    """:func:`total_count`, summed only until it passes ``budget``, so
+    that a huge ``max_len`` is refused at once."""
+    count = 0
+    for length in range(spec.max_len + 1):
+        count += len(spec.alphabet) ** length
+        if count > budget:
+            raise BudgetExceeded(
+                f"enumeration up to length {spec.max_len} exceeds budget {budget}"
+            )
     return count
 
 
@@ -243,10 +247,13 @@ def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:
         out = canonicalize(_new(RawPathString, text))
         if not out.startswith("/"):
             found.append((text, str(out), "missing-leading-slash"))
-        if out != "/" and out.endswith("/"):
+        trailing = out.endswith("/")
+        if trailing and out != "/":
             found.append((text, str(out), "trailing-slash"))
+        # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
+        closed = out if trailing else out + "/"
         for bad in ("//", "/./", "/../"):
-            if bad in out:
+            if bad in closed:
                 found.append((text, str(out), bad))
     return count, found
 
@@ -257,7 +264,8 @@ def verify_no_residue(
     """Sweep the whole input space; an empty result certifies no-residue.
 
     Every enumerated string is canonicalized and the output checked for
-    "//", "/./", "/../", a missing leading "/", or a non-root trailing "/".
+    "//", "/./", "/../", a last "/." or "/.." (reported as "/./", "/../"),
+    a missing leading "/", or a non-root trailing "/".
     """
     return [
         ResidueViolation(*found) for found in _sharded(spec, _residue_scan, budget)

@@ -8,13 +8,24 @@ import pytest
 
 import pathguard
 from pathguard import canonicalize, validate_raw
+from pathguard import verifier as verifier_module
 from pathguard.cli import BLOCK_LINES, main
+from pathguard.model import CanonicalPath, _new
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_document(out, want):
+    """``out`` is ``want`` as one JSON line, byte for byte and key order
+    included, whatever its ``elapsed_ms``."""
+    elapsed_ms = json.loads(out)["summary"]["elapsed_ms"]
+    assert isinstance(elapsed_ms, int) and elapsed_ms >= 0
+    want["summary"]["elapsed_ms"] = elapsed_ms
+    assert out == json.dumps(want) + "\n"
 
 
 class TestCanon:
@@ -372,13 +383,11 @@ class TestVerify:
             "--format", "structured",
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc["mode"] == "no-residue"
-        assert doc["summary"]["visited"] == 40
-        assert doc["summary"]["violations"] == 0
-        assert doc["violations"] == []
-        assert "elapsed_ms" in doc["summary"]
-        assert sorted(doc) == ["mode", "summary", "violations"]
+        assert_document(out, {
+            "mode": "no-residue",
+            "violations": [],
+            "summary": {"visited": 40, "violations": 0},
+        })
 
     def test_structured_preimages(self, capsys):
         code, out, _ = run(
@@ -386,17 +395,72 @@ class TestVerify:
             "--target", "/a", "--format", "structured",
         )
         assert code == 0
-        doc = json.loads(out)
-        assert doc["mode"] == "preimages"
-        assert doc["target"] == "/a"
-        assert sorted(doc["preimages"]) == ["/a", "a", "a/"]
-        assert sorted(doc) == ["mode", "preimages", "summary", "target"]
-        assert doc["summary"]["count"] == 3
-        assert doc["summary"]["visited"] == 13
-        assert "elapsed_ms" in doc["summary"]
+        assert_document(out, {
+            "mode": "preimages",
+            "target": "/a",
+            "preimages": ["a", "/a", "a/"],
+            "summary": {"visited": 13, "count": 3},
+        })
+
+    def test_preimage_listing_exact(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--max-len", "5", "--alphabet", "/.ab",
+            "--target", "/a/b",
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "a/b\n/a/b\na//b\na/b/\n//a/b\n/a//b\n/a/b/\n./a/b\n"
+            "a///b\na//b/\na/./b\na/b//\na/b/.\n13 preimages of /a/b\n"
+        )
+
+    @staticmethod
+    def _trailing_slash_after_a(monkeypatch):
+        # A faulty canonicalizer: "a/" comes out as "/a/".
+        def faulty(raw):
+            out = canonicalize(raw)
+            return _new(CanonicalPath, out + "/") if raw == "a/" else out
+
+        monkeypatch.setattr(verifier_module, "canonicalize", faulty)
+
+    def test_violations_exact(self, capsys, monkeypatch):
+        self._trailing_slash_after_a(monkeypatch)
+        code, out, err = run(capsys, "verify", "--max-len", "2", "--alphabet", "/.a")
+        assert (code, out, err) == (
+            1, "a/ -> /a/ [trailing-slash]\n1 violations / 13 visited\n", ""
+        )
+
+    def test_structured_violations_exact(self, capsys, monkeypatch):
+        self._trailing_slash_after_a(monkeypatch)
+        code, out, _ = run(
+            capsys, "verify", "--max-len", "2", "--alphabet", "/.a",
+            "--format", "structured",
+        )
+        assert code == 1
+        assert_document(out, {
+            "mode": "no-residue",
+            "violations": [
+                {"input": "a/", "output": "/a/", "offending": "trailing-slash"}
+            ],
+            "summary": {"visited": 13, "violations": 1},
+        })
 
 
 class TestDiff:
+    # A comment, a residue line, a bottom-up reach and a clean line.
+    CORPUS = "# flaw corpus\n/etc../\n/etc/passwd\n/a/b\n"
+
+    def test_report_exact(self, capsys, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(self.CORPUS)
+        code, out, err = run(capsys, "diff", "--corpus", str(corpus))
+        assert (code, err) == (1, "")
+        assert out == (
+            "/etc../ | baseline=/etc../ | canonical=/etc.. | residue=..\n"
+            "/etc/passwd | baseline=/etc/passwd | canonical=/etc/passwd"
+            " | residue=- bottom-up-reach\n"
+            "2 divergences / 3 inputs\n"
+        )
+
     def test_residue_divergence_exits_one(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("/etc../\n")
@@ -438,19 +502,31 @@ class TestDiff:
 
     def test_structured_report(self, capsys, tmp_path):
         corpus = tmp_path / "c.txt"
-        corpus.write_text("# flaw corpus\n/etc../\n/etc/passwd\n")
+        corpus.write_text(self.CORPUS)
         code, out, _ = run(
             capsys, "diff", "--corpus", str(corpus), "--format", "structured"
         )
         assert code == 1
-        doc = json.loads(out)
-        assert list(doc) == ["mode", "records", "summary"]
-        elapsed_ms = doc["summary"].pop("elapsed_ms")
-        assert isinstance(elapsed_ms, int) and elapsed_ms >= 0
-        assert doc["summary"] == {"inputs": 2, "divergences": 2}
-        by_input = {r["input"]: r for r in doc["records"]}
-        assert ".." in by_input["/etc../"]["residue_found"]
-        assert by_input["/etc/passwd"]["bottom_up_reach"] is True
+        assert_document(out, {
+            "mode": "diff",
+            "records": [
+                {
+                    "input": "/etc../",
+                    "baseline_output": "/etc../",
+                    "canonical_output": "/etc..",
+                    "residue_found": [".."],
+                    "bottom_up_reach": False,
+                },
+                {
+                    "input": "/etc/passwd",
+                    "baseline_output": "/etc/passwd",
+                    "canonical_output": "/etc/passwd",
+                    "residue_found": [],
+                    "bottom_up_reach": True,
+                },
+            ],
+            "summary": {"inputs": 3, "divergences": 2},
+        })
 
     def test_bottom_up_reach_alone_exits_zero(self, capsys, tmp_path):
         # Only residue sets the exit code; a reach is reported, not failed.

@@ -76,6 +76,28 @@ class TestVerifyNoResidue:
     def test_zero_length_sweep(self):
         assert verify_no_residue(EnumerationSpec(max_len=0)) == []
 
+    def test_trailing_dot_and_dotdot_are_residue(self, monkeypatch):
+        # A faulty canonicalizer that leaves a last "." or ".." in place.
+        def faulty(raw):
+            if raw in ("a/.", "a/.."):
+                return _new(CanonicalPath, "/" + raw)
+            return canonicalize(raw)
+
+        monkeypatch.setattr(verifier_module, "canonicalize", faulty)
+        found = verify_no_residue(EnumerationSpec(alphabet="/.a", max_len=4))
+        assert [(v.input, v.output, v.offending) for v in found] == [
+            ("a/.", "/a/.", "/./"),
+            ("a/..", "/a/..", "/../"),
+        ]
+
+    def test_huge_max_len_is_refused_at_once(self):
+        # The count is not summed past the budget, so the refusal is quick
+        # and its message short, however long the strings would be.
+        with pytest.raises(BudgetExceeded) as err:
+            verify_no_residue(EnumerationSpec(max_len=10_000))
+        assert "budget 2000000" in str(err.value)
+        assert len(str(err.value)) < 120
+
 
 class TestPreimagesOf:
     def test_tiny_brute_force(self):
