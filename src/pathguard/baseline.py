@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .canonical import canonicalize
-from .model import CanonicalPath, RawPathString, numbered_paths
+from .model import CanonicalPath, RawPathString, _new, numbered_paths
 
 _RESIDUE_SUBSTRINGS = ("..", "//", "/./", "/../")
 
@@ -123,4 +123,4 @@ def load_corpus(source: Union[str, Iterable[str]]) -> List[RawPathString]:
     """Load raw test paths from text: one per line, lines ending at "\\n"
     only, "#" comments and blanks skipped. A line that fails validation
     raises EmbeddedNul or PathTooLong naming the line."""
-    return [raw for _, raw in numbered_paths(source, "corpus")]
+    return [_new(RawPathString, text) for _, text in numbered_paths(source, "corpus")]

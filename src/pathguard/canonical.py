@@ -14,6 +14,10 @@ test suite pins the two equal on every string over "/.ab" and "/.a" up to
 length 10 and on arbitrary text. The walk still computes the traced
 variant, which records the stack as a tuple after every non-empty part,
 and :func:`underflows`, the count of ".." parts ignored at the root.
+
+Each public function checks once, on entry, that its argument is a
+:class:`RawPathString`, and raises TypeError if not. The private functions
+take plain ``str`` that has already passed the NUL and length rule.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ import posixpath
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .model import (
-    MAX_PATH_LEN,
     CanonicalPath,
     NonCanonicalEntry,
-    PathTooLong,
     RawPathString,
     Whitelist,
+    _checked,
     _new,
     is_canonical_text,
     numbered_paths,
@@ -35,27 +38,18 @@ from .model import (
 
 # posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
 # without the public wrapper's fspath and bytes handling; the pure-Python
-# normpath on 3.10. Only validated text may reach it, because early 3.11
+# normpath on 3.10. Only checked text may reach it, because early 3.11
 # releases of the C core stopped at a NUL (CPython gh-106242).
 _normpath = getattr(posixpath, "_path_normpath", posixpath.normpath)
 
 
-def _walk(
-    raw: RawPathString, trace: Optional[list] = None
-) -> Tuple[List[str], int]:
-    """The stack walk over a validated path. Returns (stack, underflow
-    count). When ``trace`` is a list, ``tuple(stack)`` is appended to it
-    after every non-empty part, "." and ".." included.
-
-    Raises:
-        TypeError: ``raw`` is not a RawPathString, so it has not passed
-            :func:`validate_raw`'s NUL and length checks.
-    """
-    if not isinstance(raw, RawPathString):
-        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+def _walk(text: str, trace: Optional[list] = None) -> Tuple[List[str], int]:
+    """The stack walk over checked text. Returns (stack, underflow count).
+    When ``trace`` is a list, ``tuple(stack)`` is appended to it after
+    every non-empty part, "." and ".." included."""
     stack: List[str] = []
     underflows = 0
-    for part in raw.split("/"):
+    for part in text.split("/"):
         if not part:
             continue
         if part == "..":
@@ -70,16 +64,11 @@ def _walk(
     return stack, underflows
 
 
-def _canonical_text(raw: RawPathString) -> str:
-    """The walk's text, ``"/" + "/".join(stack)``, computed by normpath.
-    The leading separators are cut to one, as POSIX keeps a leading "//".
-
-    Raises:
-        TypeError: ``raw`` is not a RawPathString.
-    """
-    if not isinstance(raw, RawPathString):
-        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    return _normpath("/" + raw.lstrip("/"))
+def _canonical_text(text: str) -> str:
+    """The walk's text, ``"/" + "/".join(stack)``, computed by normpath on
+    checked text. The leading separators are cut to one, as POSIX keeps a
+    leading "//"."""
+    return _normpath("/" + text.lstrip("/"))
 
 
 def canonicalize(raw: RawPathString) -> CanonicalPath:
@@ -89,6 +78,8 @@ def canonicalize(raw: RawPathString) -> CanonicalPath:
     so "a/b" canonicalizes to "/a/b". ".." at the root is silently skipped;
     :func:`underflows` counts the skips.
     """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     # The text equals the walk's, which only ever pushes names other than
     # "", "." and "..": it is canonical by construction, so it is wrapped
     # without the rescan.
@@ -119,35 +110,23 @@ def canonicalize_traced(
     prefix of the final path, or its excess entries are later popped) can
     be tested on the walk that decides.
     """
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     trace: List[Tuple[str, ...]] = []
     stack, _ = _walk(raw, trace)
     return _new(CanonicalPath, "/" + "/".join(stack)), tuple(trace)
 
 
 def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
-    """True iff the canonical form of ``raw`` is a whitelisted path.
-
-    The canonical text is looked up as a plain string: it equals an entry
-    exactly when it is that entry's spelling, so no wrapper is needed.
-    """
+    """True iff the canonical text of ``raw`` is a whitelist entry."""
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     return _canonical_text(raw) in whitelist.entries
 
 
-def _jail(root: CanonicalPath, raw: RawPathString) -> RawPathString:
-    """``root + "/" + raw``, held to the length limit.
-
-    Raises:
-        PathTooLong: the combined string exceeds ``MAX_PATH_LEN``.
-        TypeError: ``raw`` is not a RawPathString.
-    """
-    if not isinstance(raw, RawPathString):
-        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    combined = root + "/" + raw
-    if len(combined) > MAX_PATH_LEN:
-        raise PathTooLong(
-            f"jailed path length {len(combined)} exceeds limit {MAX_PATH_LEN}"
-        )
-    return _new(RawPathString, combined)
+def _jail(root: str, text: str) -> str:
+    """``root + "/" + text``, held to the NUL and length rule."""
+    return _checked(root + "/" + text, "jailed path")
 
 
 def canonicalize_jailed(root: CanonicalPath, raw: RawPathString) -> CanonicalPath:
@@ -158,10 +137,13 @@ def canonicalize_jailed(root: CanonicalPath, raw: RawPathString) -> CanonicalPat
     result.
 
     Raises:
-        PathTooLong: the combined string exceeds ``MAX_PATH_LEN``.
+        EmbeddedNul, PathTooLong: the combined string breaks the NUL and
+            length rule.
         TypeError: ``raw`` is not a RawPathString.
     """
-    return canonicalize(_jail(root, raw))
+    if not isinstance(raw, RawPathString):
+        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
+    return _new(CanonicalPath, _canonical_text(_jail(root, raw)))
 
 
 def load_whitelist(
@@ -182,11 +164,10 @@ def load_whitelist(
             names the line.
     """
     entries = set()
-    for line_number, raw in numbered_paths(source, "whitelist"):
+    for line_number, text in numbered_paths(source, "whitelist"):
         if canonicalize_entries:
-            entries.add(canonicalize(raw))
-        else:
-            if not is_canonical_text(raw):
-                raise NonCanonicalEntry(line_number, str(raw))
-            entries.add(_new(CanonicalPath, raw))
+            text = _canonical_text(text)
+        elif not is_canonical_text(text):
+            raise NonCanonicalEntry(line_number, text)
+        entries.add(text)
     return Whitelist(frozenset(entries))

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_text, _jail, load_whitelist, underflows
-from .model import CanonicalPath, PathError, validate_raw
+from .model import CanonicalPath, PathError, RawPathString, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
     DEFAULT_BUDGET,
@@ -140,13 +140,14 @@ def _answer_lines(
     """Write ``answer(canonical text)`` for every input line, BLOCK_LINES
     at a time.
 
-    A line is validated, put under ``root`` if there is one, and
-    canonicalized. ``answer`` returns the output line and whether the path
-    was denied. A line that fails validation is reported on stderr with its
-    line number, gets no output, and the batch carries on. With
-    ``--strict-underflow``, the ".." parts ignored at the root are counted
-    by :func:`underflows` and reported on stderr with the line as sent. Exit 2
-    if any line failed, else 1 if any line was denied, else 0.
+    A line is checked, put under ``root`` if there is one, and
+    canonicalized, all as plain text. ``answer`` returns the output line
+    and whether the path was denied. A line that fails its checks is
+    reported on stderr with its line number, gets no output, and the batch
+    carries on. With ``--strict-underflow``, the ".." parts ignored at the
+    root are counted by :func:`underflows` and reported on stderr with the
+    line as sent. Exit 2 if any line failed, else 1 if any line was denied,
+    else 0.
     """
     write = sys.stdout.write
     strict = args.strict_underflow
@@ -155,7 +156,7 @@ def _answer_lines(
     try:
         for number, text in enumerate(_input_paths(args), start=1):
             try:
-                path = validate_raw(text)
+                path = _checked(text)
                 if root is not None:
                     path = _jail(root, path)
             except PathError as exc:
@@ -163,7 +164,7 @@ def _answer_lines(
                 failed = True
                 continue
             if strict:
-                ignored = underflows(path)
+                ignored = underflows(_new(RawPathString, path))
                 if ignored:
                     warning = (
                         f"{ignored} parent reference(s) ignored at the root"

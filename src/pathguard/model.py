@@ -2,18 +2,18 @@
 
 Everything here is immutable after construction and safe to share across
 threads. Paths are treated as opaque character sequences: no Unicode
-normalization, no filesystem access. The canonicalizer's stack holds plain
-``str`` names, and :func:`pathguard.canonical.load_whitelist` fills a
-:class:`Whitelist`.
+normalization, no filesystem access.
 
-The two path types, :class:`RawPathString` and :class:`CanonicalPath`, are
-``str`` subclasses with no instance attributes, so hashing and equality run
-as plain string operations and a whitelist lookup is a set lookup of a
-string. ``.text`` is kept for compatibility and returns the plain ``str``.
-Comparing a canonical path with a plain string is safe: a plain string
-equal to a whitelist entry is that entry's spelling, and every entry is a
-fixpoint of canonicalization, so string equality can never turn a deny
-into an allow.
+The two path types, :class:`RawPathString` and :class:`CanonicalPath`,
+exist only at the public API, where callers hand text in and take it out.
+Behind it, everything works on plain ``str`` that has passed the NUL and
+length rule: :func:`validate_raw` for callers, :func:`_checked` for internal
+ones. Both types are ``str`` subclasses with no instance attributes, so
+hashing and equality run as plain string operations. ``.text`` is kept for
+compatibility and returns the plain ``str``. A :class:`Whitelist` holds
+plain ``str`` entries, and comparing one with a canonical path is safe:
+every entry is a fixpoint of canonicalization, so string equality can
+never turn a deny into an allow.
 """
 
 from __future__ import annotations
@@ -85,6 +85,16 @@ class RawPathString(str):
 _new = str.__new__
 
 
+def _checked(text: str, what: str = "path") -> str:
+    """``text``, held to :func:`validate_raw`'s NUL and length rule, with
+    the same errors; ``what`` names the text in their messages."""
+    if "\x00" in text:
+        raise EmbeddedNul(f"{what} contains a NUL byte")
+    if len(text) > MAX_PATH_LEN:
+        raise PathTooLong(f"{what} length {len(text)} exceeds limit {MAX_PATH_LEN}")
+    return text
+
+
 def validate_raw(text: str) -> RawPathString:
     """Validate untrusted input and wrap it as a RawPathString.
 
@@ -92,6 +102,8 @@ def validate_raw(text: str) -> RawPathString:
         EmbeddedNul: if the text contains a NUL byte.
         PathTooLong: if the text exceeds ``MAX_PATH_LEN`` characters.
     """
+    # _checked's rule, written out: every decision calls this first, and a
+    # call to _checked would cost each decision a Python frame.
     if "\x00" in text:
         raise EmbeddedNul("path contains a NUL byte")
     if len(text) > MAX_PATH_LEN:
@@ -143,8 +155,8 @@ class CanonicalPath(str):
 
 def numbered_paths(
     source: Union[str, Iterable[str]], kind: str
-) -> Iterator[Tuple[int, RawPathString]]:
-    """``(line number, validated path)`` for each line of a whitelist or
+) -> Iterator[Tuple[int, str]]:
+    """``(line number, checked path)`` for each line of a whitelist or
     corpus file that holds a path; ``kind`` names the file in errors.
 
     ``source`` is the whole text or an iterable of lines, such as an open
@@ -167,15 +179,16 @@ def numbered_paths(
         stripped = line.strip(" \t\r\n")
         if stripped and not stripped.startswith("#"):
             try:
-                raw = validate_raw(stripped)
+                path = _checked(stripped)
             except (EmbeddedNul, PathTooLong) as exc:
                 raise type(exc)(f"{kind} line {line_number}: {exc}") from None
-            yield line_number, raw
+            yield line_number, path
 
 
 @dataclass(frozen=True)
 class Whitelist:
-    """A validated, deduplicated set of canonical paths. Default-deny."""
+    """A deduplicated set of canonical paths, held as plain ``str``.
+    Default-deny."""
 
     entries: frozenset = frozenset()
 

@@ -1,8 +1,9 @@
 """Exhaustive desk-scale verification over bounded alphabets.
 
-Instead of symbolic execution, every string over a small alphabet up to a
-length bound is enumerated in shortlex order and pushed through the
-canonicalizer: the residue sweep certifies that no traversal characters
+Instead of symbolic execution, every string over a small alphabet (which
+holds no NUL) up to a length bound is enumerated in shortlex order and
+pushed, as plain text, through ``_canonical_text``, which computes every
+decision's text: the residue sweep certifies that no traversal characters
 survive in any output, and the preimage search lists every input that
 reaches a chosen canonical target (cross-checked against the independent
 rewriting oracle).
@@ -26,7 +27,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, Optional, Tuple
 
-from .canonical import canonicalize
+from .canonical import _canonical_text
 from .model import BudgetExceeded, CanonicalPath, RawPathString, _new
 from .oracle import rewrite_canonicalize
 
@@ -62,21 +63,23 @@ class ResidueViolation:
 
 
 def total_count(spec: EnumerationSpec) -> int:
-    """Number of strings of length 0..max_len over the alphabet."""
-    return sum(len(spec.alphabet) ** k for k in range(spec.max_len + 1))
+    """Number of strings of length 0..max_len over the alphabet, in closed
+    form (the alphabet has at least 2 characters)."""
+    k = len(spec.alphabet)
+    return (k ** (spec.max_len + 1) - 1) // (k - 1)
 
 
 def _checked_count(spec: EnumerationSpec, budget: int) -> int:
-    """:func:`total_count`, summed only until it passes ``budget``, so
-    that a huge ``max_len`` is refused at once."""
-    count = 0
-    for length in range(spec.max_len + 1):
-        count += len(spec.alphabet) ** length
-        if count > budget:
-            raise BudgetExceeded(
-                f"enumeration up to length {spec.max_len} exceeds budget {budget}"
-            )
-    return count
+    """:func:`total_count`, refused if it exceeds ``budget``. The count is
+    at least 2**max_len, so a ``max_len`` of the budget's bit length or more
+    is refused before the power is taken, however large it is."""
+    if spec.max_len < budget.bit_length():
+        count = total_count(spec)
+        if count <= budget:
+            return count
+    raise BudgetExceeded(
+        f"enumeration up to length {spec.max_len} exceeds budget {budget}"
+    )
 
 
 # Aliases for annotations only, so they cost nothing at import.
@@ -244,17 +247,17 @@ def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:
     found = []
     count = 0
     for count, text in enumerate(strings, 1):
-        out = canonicalize(_new(RawPathString, text))
+        out = _canonical_text(text)
         if not out.startswith("/"):
-            found.append((text, str(out), "missing-leading-slash"))
+            found.append((text, out, "missing-leading-slash"))
         trailing = out.endswith("/")
         if trailing and out != "/":
-            found.append((text, str(out), "trailing-slash"))
+            found.append((text, out, "trailing-slash"))
         # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
         closed = out if trailing else out + "/"
         for bad in ("//", "/./", "/../"):
             if bad in closed:
-                found.append((text, str(out), bad))
+                found.append((text, out, bad))
     return count, found
 
 
@@ -289,9 +292,9 @@ def preimages_of(
         hits = []
         count = 0
         for count, text in enumerate(strings, 1):
-            raw = _new(RawPathString, text)
-            if canonicalize(raw) == target:
-                hits.append((text, rewrite_canonicalize(raw) == target))
+            if _canonical_text(text) == target:
+                oracle = rewrite_canonicalize(_new(RawPathString, text))
+                hits.append((text, oracle == target))
         return count, hits
 
     hits = _sharded(spec, scan, budget)

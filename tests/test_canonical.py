@@ -1,5 +1,9 @@
+import os
+import sys
+
 import pytest
 
+import pathguard
 from pathguard import (
     CanonicalPath,
     EmbeddedNul,
@@ -18,7 +22,6 @@ from pathguard import (
 )
 from pathguard import canonical
 from pathguard.canonical import _canonical_text, _walk
-from pathguard.model import RawPathString, _new
 from pathguard.verifier import _sharded
 
 
@@ -198,8 +201,7 @@ def _fast_path_scan(strings):
     path's text differs from the stack walk's."""
     count, diverging = 0, []
     for count, text in enumerate(strings, 1):
-        raw = _new(RawPathString, text)
-        if _canonical_text(raw) != "/" + "/".join(_walk(raw)[0]):
+        if _canonical_text(text) != "/" + "/".join(_walk(text)[0]):
             diverging.append(text)
     return count, [(count, diverging)]
 
@@ -235,7 +237,45 @@ class TestFastPath:
             canonicalize(validate_raw(text))
         with pytest.raises(EmbeddedNul):
             sanitize(validate_raw(text), whitelist)
+        # A jail root is a CanonicalPath, which does not check for NUL; the
+        # jailed path is checked as a whole.
+        with pytest.raises(EmbeddedNul):
+            canonicalize_jailed(CanonicalPath("/a\x00b"), validate_raw("c"))
         assert reached == []
+
+
+def _pathguard_calls(call):
+    """The names of the Python functions under pathguard/ that ``call()``
+    enters, in order, as sys.setprofile sees them."""
+    package = os.path.dirname(pathguard.__file__) + os.sep
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+class TestDecisionFrames:
+    """The serve and verify benchmarks time exactly these two calls, and one
+    more Python frame on them costs measurable latency, so the frames are
+    pinned. validate_raw and the public functions check inline for this."""
+
+    @pytest.mark.parametrize("text", ["/a/b", "a/../../b/./c//", ""])
+    def test_each_decision_enters_three_functions(self, text):
+        whitelist = load_whitelist("/b/c\n")
+        assert _pathguard_calls(lambda: canonicalize(validate_raw(text))) == [
+            "validate_raw", "canonicalize", "_canonical_text"
+        ]
+        assert _pathguard_calls(lambda: sanitize(validate_raw(text), whitelist)) == [
+            "validate_raw", "sanitize", "_canonical_text"
+        ]
 
 
 class TestCanonicalizeTraced:

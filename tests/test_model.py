@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -6,6 +7,7 @@ from pathguard import (
     CanonicalPath,
     EmbeddedNul,
     NonCanonicalEntry,
+    PathError,
     PathTooLong,
     RawPathString,
     Whitelist,
@@ -14,6 +16,7 @@ from pathguard import (
     load_whitelist,
     validate_raw,
 )
+from pathguard.model import _checked
 
 
 class TestValidateRaw:
@@ -30,6 +33,22 @@ class TestValidateRaw:
     def test_embedded_nul_rejected(self):
         with pytest.raises(EmbeddedNul):
             validate_raw("/a\x00/b")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "/a/b", "a" * 4096, "a" * 4097, "\x00/a", "/a\x00b", "/a\x00", "\x00" * 4097],
+    )
+    def test_internal_check_agrees_with_validate_raw(self, text):
+        # validate_raw writes _checked's rule out inline; the two copies must
+        # accept and refuse alike, with the same error and message.
+        try:
+            want = validate_raw(text)
+        except PathError as exc:
+            with pytest.raises(type(exc)) as err:
+                _checked(text)
+            assert str(err.value) == str(exc)
+        else:
+            assert _checked(text) == want
 
 
 class TestCanonicalPath:
@@ -129,7 +148,20 @@ class TestWhitelist:
     def test_entries_are_fixpoints(self):
         w = load_whitelist("/a/b/c\n/x\n/\n")
         for entry in w.entries:
-            assert canonicalize(validate_raw(entry.text)) == entry
+            assert canonicalize(validate_raw(entry)) == entry
+
+    @pytest.mark.parametrize(
+        "source,canonicalize_entries",
+        [("/a/b\n/c\n/\n", False), ("a/b/\n/x/../c/.\n//\n", True)],
+    )
+    def test_entries_are_plain_untracked_strings(self, source, canonicalize_entries):
+        # No wrapper per entry: a str subclass instance would also be
+        # tracked by the garbage collector.
+        w = load_whitelist(source, canonicalize_entries=canonicalize_entries)
+        assert w.entries == {"/a/b", "/c", "/"}
+        for entry in w.entries:
+            assert type(entry) is str
+            assert not gc.is_tracked(entry)
 
 
 class TestWhitelistContains:

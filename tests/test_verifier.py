@@ -1,5 +1,6 @@
 import itertools
 import os
+import time
 
 import pytest
 
@@ -16,7 +17,7 @@ from pathguard import (
     verify_no_residue,
 )
 from pathguard import verifier as verifier_module
-from pathguard.model import _new
+from pathguard.canonical import _canonical_text
 from pathguard.verifier import _unit_strings, _units
 
 
@@ -62,6 +63,19 @@ class TestEnumerateAll:
         # Sum of 5^k for k in 0..8 == (5^9 - 1) / 4.
         assert total_count(EnumerationSpec()) == 488281
 
+    @pytest.mark.parametrize("alphabet", ["/.", "/.a", "/.abc"])
+    def test_closed_form_equals_the_summed_form(self, alphabet):
+        for max_len in range(9):
+            spec = EnumerationSpec(alphabet=alphabet, max_len=max_len)
+            summed = sum(len(alphabet) ** k for k in range(max_len + 1))
+            assert total_count(spec) == summed
+
+    def test_closed_form_is_quick_on_a_huge_max_len(self):
+        started = time.perf_counter()
+        count = total_count(EnumerationSpec(max_len=30_000))
+        assert time.perf_counter() - started < 0.1
+        assert count % 5 == 1
+
     def test_budget_exceeded(self):
         spec = EnumerationSpec(alphabet="/.abc", max_len=12)
         with pytest.raises(BudgetExceeded):
@@ -78,12 +92,12 @@ class TestVerifyNoResidue:
 
     def test_trailing_dot_and_dotdot_are_residue(self, monkeypatch):
         # A faulty canonicalizer that leaves a last "." or ".." in place.
-        def faulty(raw):
-            if raw in ("a/.", "a/.."):
-                return _new(CanonicalPath, "/" + raw)
-            return canonicalize(raw)
+        def faulty(text):
+            if text in ("a/.", "a/.."):
+                return "/" + text
+            return _canonical_text(text)
 
-        monkeypatch.setattr(verifier_module, "canonicalize", faulty)
+        monkeypatch.setattr(verifier_module, "_canonical_text", faulty)
         found = verify_no_residue(EnumerationSpec(alphabet="/.a", max_len=4))
         assert [(v.input, v.output, v.offending) for v in found] == [
             ("a/.", "/a/.", "/./"),
@@ -97,6 +111,14 @@ class TestVerifyNoResidue:
             verify_no_residue(EnumerationSpec(max_len=10_000))
         assert "budget 2000000" in str(err.value)
         assert len(str(err.value)) < 120
+
+    def test_astronomical_max_len_is_refused_without_the_power(self):
+        # 5**(10**9 + 1) would take minutes and gigabytes to compute; the
+        # count is at least 2**max_len, so the budget's bit length decides.
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            verify_no_residue(EnumerationSpec(max_len=10**9))
+        assert time.perf_counter() - started < 0.1
 
 
 class TestPreimagesOf:
@@ -135,12 +157,12 @@ def _cpus(monkeypatch, n):
     )
 
 
-def _faulty_canonicalize(raw):
+def _faulty_canonical_text(text):
     # Leaves a trailing "/" on every non-root output of an "a/"- or
     # "ab/"-prefixed input: the faulty strings fall in units of both shards.
-    out = canonicalize(raw)
-    if out != "/" and raw.startswith(("a/", "ab/")):
-        return _new(CanonicalPath, out + "/")
+    out = _canonical_text(text)
+    if out != "/" and text.startswith(("a/", "ab/")):
+        return out + "/"
     return out
 
 
@@ -179,11 +201,11 @@ class TestSharding:
         assert len(plain) > 10
 
     def test_faulty_residue_independent_of_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(verifier_module, "canonicalize", _faulty_canonicalize)
+        monkeypatch.setattr(verifier_module, "_canonical_text", _faulty_canonical_text)
         plain = []
 
         def collect(text):
-            out = _faulty_canonicalize(validate_raw(text))
+            out = _faulty_canonical_text(text)
             if out != "/" and out.endswith("/"):
                 plain.append((text, out, "trailing-slash"))
 
@@ -257,12 +279,12 @@ class TestSharding:
     def test_child_exiting_abnormally_raises_runtime_error(self, monkeypatch):
         caller = os.getpid()
 
-        def dying(raw):
+        def dying(text):
             if os.getpid() != caller:
                 os._exit(3)
-            return canonicalize(raw)
+            return _canonical_text(text)
 
-        monkeypatch.setattr(verifier_module, "canonicalize", dying)
+        monkeypatch.setattr(verifier_module, "_canonical_text", dying)
         _cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="status 3"):
             verify_no_residue(self.SPEC)
