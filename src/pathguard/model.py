@@ -58,14 +58,14 @@ class BudgetExceeded(PathError):
 
 
 class RawPathString(str):
-    """An untrusted path string that passed basic input validation.
-
-    Construct through :func:`validate_raw`; direct construction skips the
-    length and NUL checks and is reserved for internal callers that have
-    already validated the text.
-    """
+    """An untrusted path that passed the NUL and length rule: built by
+    :func:`validate_raw`, or by ``RawPathString(text)``, which applies the
+    rule with the same errors."""
 
     __slots__ = ()
+
+    def __new__(cls, text: str) -> "RawPathString":
+        return _new(cls, _checked(text))
 
     @property
     def text(self) -> str:
@@ -77,11 +77,11 @@ class RawPathString(str):
         return f"RawPathString({str.__repr__(self)})"
 
 
-# Bound once, because it is on every decision's path. ``_new(CanonicalPath,
-# text)`` is CanonicalPath's trusted constructor: it skips the rescan that
-# ``CanonicalPath(text)`` does, so it is only for text that is canonical by
-# construction -- the stack walk's output, or a line that has just passed
-# :func:`is_canonical_text`.
+# Bound once, because it is on every decision's path. ``_new(cls, text)`` is
+# the trusted constructor of both path types: it skips the check that
+# ``cls(text)`` does, so it is only for text that has passed that check
+# already -- a line held to the NUL and length rule, or text that is
+# canonical by construction, such as the stack walk's output.
 _new = str.__new__
 
 

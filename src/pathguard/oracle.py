@@ -9,34 +9,34 @@ one starts, and no later rule can create a redex of an earlier one, so the
 result is a normal form of the whole rule set. Collapsing "//" may create
 "/./" or "/../", which later strata remove. The later rules run only once
 no "//" is left, so the single "/" each leaves in place of its redex has no
-"/" beside it and cannot form a "//". Cancelling "/T/../" cannot create
-"/./" either: that would need a "." component beside the cancelled pair,
-and no "/./" is left by then.
+"/" beside it to form a "//", and a "." component beside it would already
+have formed a "/./".
+
+The last stratum rewrites the leftmost "/../". At position 0 it is
+absorbed. Anywhere else the component in front of it is a name: not empty,
+as no "//" is left; not ".", as no "/./" is left; not "..", as then a
+"/../" would start further left. So "/T/../" always applies, and no input
+leaves a "/../" that no rule rewrites. After the cut a new "/../" can start
+no earlier than the "/" before the cancelled name, so the search resumes
+there. This is one reduction order of the same rules: same normal form.
 """
 
 from __future__ import annotations
 
-import re
-
 from .model import CanonicalPath, RawPathString, _new, is_canonical_text
-
-# "/T/../" where T is any component other than "." and "..".
-_POP_PAIR = re.compile(r"/(?!\.{1,2}/)[^/]+/\.\./")
 
 
 def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
     """Canonicalize by rewriting to a fixpoint.
 
-    The text is anchored with a leading and a trailing "/". Then each rule
-    in turn is applied until it no longer matches: collapse "//", drop
-    "/./", then absorb a leading "/../" or cancel "/T/../" for every
-    ordinary component T. Every rule strictly shrinks the string, so each
-    stratum terminates. Finally the trailing "/" is stripped unless the
-    result is the root itself, and the result is checked to be canonical.
+    The text is anchored with a leading and a trailing "/", and each rule
+    in turn runs until it no longer matches: collapse "//", drop "/./",
+    then absorb or cancel the leftmost "/../". Every rule shrinks the
+    string, so each stratum ends. The trailing "/" is then stripped unless
+    the result is the root, and the result is checked to be canonical.
 
     Raises:
         TypeError: ``raw`` is not a RawPathString.
-        AssertionError: "/../" remains but no rule applies to it.
         ValueError: the result is not in canonical form.
     """
     if not isinstance(raw, RawPathString):
@@ -46,14 +46,13 @@ def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
         text = text.replace("//", "/")
     while "/./" in text:
         text = text.replace("/./", "/")
-    while "/../" in text:
-        if text.startswith("/../"):
-            text = text[3:]
-            continue
-        reduced = _POP_PAIR.sub("/", text)
-        if reduced == text:
-            raise AssertionError(f"no rule rewrites {text!r}")
-        text = reduced
+    # Most texts hold no "/../", and "in" costs less than a find() call.
+    if "/../" in text:
+        at = text.find("/../")
+        while at >= 0:
+            start = text.rfind("/", 0, at) if at else 0
+            text = text[:start] + text[at + 3 :]
+            at = text.find("/../", start)
     if len(text) > 1:
         text = text[:-1]
     if not is_canonical_text(text):

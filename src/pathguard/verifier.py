@@ -283,9 +283,10 @@ def preimages_of(
 ) -> List[str]:
     """All enumerated strings that canonicalize to ``target``, shortlex order.
 
-    Every hit is cross-checked against the rewriting oracle; a disagreement
-    means one of the two implementations is broken, and the first in
-    shortlex order raises AssertionError once the sweep is done.
+    Every hit is cross-checked against the rewriting oracle in the caller,
+    in shortlex order, so an error the oracle raises reaches the caller as
+    it is, whatever the CPU count. The first disagreement raises
+    AssertionError: one of the two implementations is broken.
     """
 
     def scan(strings: Iterator[str]) -> Tuple[int, list]:
@@ -293,14 +294,13 @@ def preimages_of(
         count = 0
         for count, text in enumerate(strings, 1):
             if _canonical_text(text) == target:
-                oracle = rewrite_canonicalize(_new(RawPathString, text))
-                hits.append((text, oracle == target))
+                hits.append(text)
         return count, hits
 
     hits = _sharded(spec, scan, budget)
-    for text, oracle_agrees in hits:
-        if not oracle_agrees:
+    for text in hits:
+        if rewrite_canonicalize(_new(RawPathString, text)) != target:
             raise AssertionError(
                 f"oracle divergence on {text!r}: stack says {target.text!r}"
             )
-    return [text for text, _ in hits]
+    return hits

@@ -1,3 +1,4 @@
+import ntpath
 from urllib.parse import unquote
 
 import pytest
@@ -159,3 +160,27 @@ class TestDecodeOrder:
         out = canonicalize(validate_raw(unquote(encoded))).text
         assert out == decoded_first
         assert is_canonical_text(out)
+
+
+class TestSeparatorContract:
+    """The input contract: "/" is the only separator.
+
+    pathguard has no separator option. These cases fix nothing; they show
+    that "\\" is an ordinary name character to pathguard, while a Windows
+    path API, here the stdlib's ntpath, splits on it and climbs. Safe as a
+    POSIX file name, such a path is traversal behind a Windows file API, so
+    a caller whose paths reach one must reject "\\" and ":" first.
+    """
+
+    @pytest.mark.parametrize(
+        "raw,canonical,windows",
+        [
+            # One name at the root, which ntpath climbs out of to C:\x.
+            ("C:\\Windows\\..\\..\\x", "/C:\\Windows\\..\\..\\x", "C:\\x"),
+            # One name under /a, which ntpath climbs above the root with.
+            ("/a/b\\..\\..\\..\\c", "/a/b\\..\\..\\..\\c", "\\c"),
+        ],
+    )
+    def test_backslash_is_a_name_character(self, raw, canonical, windows):
+        assert canonicalize(validate_raw(raw)).text == canonical
+        assert ntpath.normpath(raw) == windows

@@ -39,16 +39,18 @@ class TestValidateRaw:
         ["", "/a/b", "a" * 4096, "a" * 4097, "\x00/a", "/a\x00b", "/a\x00", "\x00" * 4097],
     )
     def test_internal_check_agrees_with_validate_raw(self, text):
-        # validate_raw writes _checked's rule out inline; the two copies must
-        # accept and refuse alike, with the same error and message.
-        try:
-            want = validate_raw(text)
-        except PathError as exc:
-            with pytest.raises(type(exc)) as err:
-                _checked(text)
-            assert str(err.value) == str(exc)
-        else:
-            assert _checked(text) == want
+        # validate_raw writes _checked's rule out inline, and RawPathString(text)
+        # applies it too; all three must accept and refuse alike, with the
+        # same error and message.
+        for check in (_checked, RawPathString):
+            try:
+                want = validate_raw(text)
+            except PathError as exc:
+                with pytest.raises(type(exc)) as err:
+                    check(text)
+                assert str(err.value) == str(exc)
+            else:
+                assert check(text) == want
 
 
 class TestCanonicalPath:

@@ -245,6 +245,22 @@ class TestSharding:
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "oracle divergence on 'a': stack says '/a'"
 
+    def test_oracle_error_reaches_the_caller_unchanged(self, monkeypatch):
+        # "a" is in a child's shard when n is 2; the oracle's own error must
+        # not turn into a failed shard.
+        spec = EnumerationSpec(alphabet="/.a", max_len=3)
+
+        def failing_oracle(raw):
+            if raw == "a":
+                raise ValueError("oracle failed on 'a'")
+            return rewrite_canonicalize(raw)
+
+        monkeypatch.setattr(verifier_module, "rewrite_canonicalize", failing_oracle)
+        for n in (1, 2):
+            _cpus(monkeypatch, n)
+            with pytest.raises(ValueError, match="^oracle failed on 'a'$"):
+                preimages_of(spec, CanonicalPath("/a"))
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_caller_runs_the_smallest_shard(self, monkeypatch, n):
         # The caller also forks and merges, so it must not take the most work.
