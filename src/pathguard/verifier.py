@@ -8,23 +8,25 @@ survive in any output, and the preimage search lists every input that
 reaches a chosen canonical target (cross-checked against the independent
 rewriting oracle).
 
-The enumeration is cut into work units, one per length and leading
-two-character prefix, whose walk in order is the shortlex order. The two
-sweeps fork one shard per CPU in the process's affinity mask (the caller
-runs the shard with the fewest strings itself, so a one-CPU mask forks
-nothing), take each shard's results back over a pipe with :mod:`marshal`,
-and merge them in unit order: the result, its order, and the first
-divergence reported are the same whatever the CPU count. A shard runs only
-the pure-Python checks and ends in ``os._exit``, so it never runs the
-caller's exit handlers or flushes its buffers.
+One enumerator, ``_strings``, walks the shortlex order and yields any
+contiguous range of its ranks. The two sweeps cut the ranks into one range
+per CPU in the process's affinity mask, whose sizes differ by at most one
+string. The caller runs the first range, the smallest, itself (so a
+one-CPU mask forks nothing) and forks a child for each other range, takes
+each child's findings back over a pipe with :mod:`marshal`, and
+concatenates them in range order, which is shortlex order: the result,
+its order, and the first divergence reported are the same whatever the
+CPU count. A shard runs only the pure-Python checks and ends in
+``os._exit``, so it never runs the caller's exit handlers or flushes its
+buffers.
 """
 
 from __future__ import annotations
 
-import itertools
 import marshal
 import os
 from dataclasses import dataclass
+from itertools import chain, islice, product
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, Optional, Tuple
 
 from .canonical import _canonical_text
@@ -83,35 +85,26 @@ def _checked_count(spec: EnumerationSpec, budget: int) -> int:
 
 
 # Aliases for annotations only, so they cost nothing at import.
-# Unit: (length, prefix) -- every string of that length with that prefix.
-# Scan: checks one unit's strings and returns (visited, findings in order).
-# ShardResult: (visited, findings of each unit of the shard).
+# Scan: checks a range's strings and returns (visited, findings in order).
 if TYPE_CHECKING:
-    Unit = Tuple[int, str]
-    Scan = Callable[[Iterator[str]], Tuple[int, list]]
-    ShardResult = Tuple[int, List[list]]
+    ShardResult = Tuple[int, list]
+    Scan = Callable[[Iterator[str]], ShardResult]
 
 # SIGKILL, which POSIX fixes at 9; importing the signal module for the name
 # would add more than a millisecond to every ``import pathguard``.
 _SIGKILL = 9
 
 
-def _units(spec: EnumerationSpec) -> List[Unit]:
-    """Work units in shortlex order: per length, one per prefix of up to two
-    characters. Two characters, so that the largest length alone splits
-    into len(alphabet)**2 equal units and shards stay balanced."""
-    return [
-        (length, "".join(prefix))
-        for length in range(spec.max_len + 1)
-        for prefix in itertools.product(spec.alphabet, repeat=min(length, 2))
-    ]
-
-
-def _unit_strings(spec: EnumerationSpec, unit: Unit) -> Iterator[str]:
-    """The unit's strings in shortlex order."""
-    length, prefix = unit
-    tails = (spec.alphabet,) * (length - len(prefix))
-    return map("".join, itertools.product((prefix,), *tails))
+def _strings(
+    spec: EnumerationSpec, start: int = 0, stop: Optional[int] = None
+) -> Iterator[str]:
+    """The strings of shortlex rank ``start`` up to ``stop``: shorter
+    strings first, each length in alphabet order. The one enumerator; every
+    walk over the space, whole or in shards, takes its strings from here."""
+    every = chain.from_iterable(
+        product(spec.alphabet, repeat=length) for length in range(spec.max_len + 1)
+    )
+    return map("".join, islice(every, start, stop))
 
 
 def enumerate_all(
@@ -120,7 +113,8 @@ def enumerate_all(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """Visit every string over the alphabet, shortlex order, exactly once.
+    """Visit every string over the alphabet, shortlex order, exactly once,
+    as ``_strings`` yields them.
 
     Returns the count visited.
 
@@ -128,26 +122,9 @@ def enumerate_all(
         BudgetExceeded: the closed-form count exceeds ``budget``.
     """
     count = _checked_count(spec, budget)
-    for unit in _units(spec):
-        for text in _unit_strings(spec, unit):
-            visit(text)
+    for text in _strings(spec):
+        visit(text)
     return count
-
-
-def _shard_size(spec: EnumerationSpec, units: List[Unit]) -> int:
-    """Number of strings in the units."""
-    width = len(spec.alphabet)
-    return sum(width ** (length - len(prefix)) for length, prefix in units)
-
-
-def _run_shard(spec: EnumerationSpec, scan: Scan, units: List[Unit]) -> ShardResult:
-    visited = 0
-    per_unit: List[list] = []
-    for unit in units:
-        count, found = scan(_unit_strings(spec, unit))
-        visited += count
-        per_unit.append(found)
-    return visited, per_unit
 
 
 def _cpu_count() -> int:
@@ -157,10 +134,8 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_shard(
-    spec: EnumerationSpec, scan: Scan, units: List[Unit]
-) -> Tuple[int, BinaryIO]:
-    """Start a child that runs the shard; returns its pid and result pipe."""
+def _fork_shard(scan: Scan, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
+    """Start a child that scans the strings; returns its pid and result pipe."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -172,7 +147,7 @@ def _fork_shard(
         status = 1
         try:
             os.close(rfd)
-            data = marshal.dumps(_run_shard(spec, scan, units))
+            data = marshal.dumps(scan(strings))
             with open(wfd, "wb") as out:
                 out.write(data)
             status = 0
@@ -200,9 +175,10 @@ def _reap(pid: int, data: bytes) -> ShardResult:
 
 
 def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
-    """Run ``scan`` over every unit, one shard per CPU this process may use.
+    """Run ``scan`` over every string, one rank range per CPU this process
+    may use.
 
-    Returns the findings of all units, merged in unit order.
+    Returns the findings of all ranges, concatenated in shortlex order.
 
     Raises:
         BudgetExceeded: before any shard starts.
@@ -210,37 +186,31 @@ def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
             string exactly once.
     """
     count = _checked_count(spec, budget)
-    units = _units(spec)
-    n = min(_cpu_count(), len(units))
-    shards = [units[i::n] for i in range(n)]
-    # The caller also forks and merges, so it runs the smallest shard.
-    sizes = [_shard_size(spec, shard) for shard in shards]
-    mine = sizes.index(min(sizes))
-    results: List[Optional[ShardResult]] = [None] * n
-    children: List[Tuple[int, int, BinaryIO]] = []  # started, not yet reaped
+    n = min(_cpu_count(), count)
+    cuts = [count * i // n for i in range(n + 1)]
+    results: List[ShardResult] = []
+    children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
-        for index, shard in enumerate(shards):
-            if index != mine:
-                children.append((index, *_fork_shard(spec, scan, shard)))
-        results[mine] = _run_shard(spec, scan, shards[mine])
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            children.append(_fork_shard(scan, _strings(spec, lo, hi)))
+        # The caller also forks and merges, so it runs the first range,
+        # which is the smallest.
+        results.append(scan(_strings(spec, 0, cuts[1])))
         while children:
-            index, pid, pipe = children[0]
+            pid, pipe = children[0]
             data = pipe.read()
             pipe.close()
             children.pop(0)
-            results[index] = _reap(pid, data)
+            results.append(_reap(pid, data))
     finally:
-        for _, pid, pipe in children:
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
-    merged: list = []
-    for index in range(len(units)):
-        merged.extend(results[index % n][1][index // n])
     visited = sum(result[0] for result in results)
     if visited != count:
         raise RuntimeError(f"shards visited {visited} of {count} strings")
-    return merged
+    return [found for _, findings in results for found in findings]
 
 
 def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:

@@ -28,9 +28,11 @@ from pathguard import (
     rewrite_canonicalize,
     run_differential,
     sanitize,
+    total_count,
     validate_raw,
     verify_no_residue,
 )
+from pathguard.verifier import _sharded
 
 # Exhaustive preimage count of "/a/b/c" over alphabet "/.abc", length <= 8,
 # computed once by brute force and pinned as a regression value. The
@@ -48,16 +50,25 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
+def _oracle_scan(strings):
+    """A verifier scan: the count of strings it saw and those on which the
+    public canonicalize and the rewriting oracle disagree."""
+    checked, mismatched = 0, []
+    for checked, text in enumerate(strings, 1):
+        raw = RawPathString(text)
+        if canonicalize(raw).text != rewrite_canonicalize(raw).text:
+            mismatched.append(text)
+    return checked, mismatched
+
+
 def test_criterion_1_oracle_equivalence():
+    # Every string over "/.ab" up to length 10, sharded over the CPUs as the
+    # verifier's sweeps are; _sharded raises unless its shards checked
+    # exactly total_count(spec) strings.
     started = time.monotonic()
-    mismatches = 0
-    checked = 0
-    for length in range(0, 11):
-        for chars in itertools.product("/.ab", repeat=length):
-            raw = RawPathString("".join(chars))
-            checked += 1
-            if canonicalize(raw).text != rewrite_canonicalize(raw).text:
-                mismatches += 1
+    spec = EnumerationSpec(alphabet="/.ab", max_len=10)
+    checked = total_count(spec)
+    mismatches = len(_sharded(spec, _oracle_scan, checked))
     elapsed = time.monotonic() - started
     report(
         "criterion 1 (oracle equivalence)",

@@ -197,13 +197,13 @@ class TestSanitize:
 
 
 def _fast_path_scan(strings):
-    """A verifier scan: the unit's count and the strings on which the fast
-    path's text differs from the stack walk's."""
+    """A verifier scan: the count of strings it saw and those on which the
+    fast path's text differs from the stack walk's."""
     count, diverging = 0, []
     for count, text in enumerate(strings, 1):
         if _canonical_text(text) != "/" + "/".join(_walk(text)[0]):
             diverging.append(text)
-    return count, [(count, diverging)]
+    return count, diverging
 
 
 class TestFastPath:
@@ -213,13 +213,13 @@ class TestFastPath:
         "alphabet,visited", [("/.ab", 1_398_101), ("/.a", 88_573)]
     )
     def test_equals_the_walk_on_every_string_up_to_length_10(self, alphabet, visited):
-        # Sharded over the CPUs as the verifier's sweeps are. The "/.a"
-        # strings also lie in the "/.ab" space; that case is kept for its
-        # own exact count.
+        # Sharded over the CPUs as the verifier's sweeps are; _sharded
+        # raises unless its shards saw exactly total_count(spec) strings.
+        # The "/.a" strings also lie in the "/.ab" space; that case is kept
+        # for its own exact count.
         spec = EnumerationSpec(alphabet=alphabet, max_len=10)
-        units = _sharded(spec, _fast_path_scan, total_count(spec))
-        assert sum(count for count, _ in units) == visited
-        assert [text for _, diverging in units for text in diverging] == []
+        assert total_count(spec) == visited
+        assert _sharded(spec, _fast_path_scan, visited) == []
 
     def test_nul_never_reaches_normpath(self, monkeypatch):
         # Early 3.11 releases of the C core stopped at a NUL, which would

@@ -18,7 +18,7 @@ from pathguard import (
 )
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_text
-from pathguard.verifier import _unit_strings, _units
+from pathguard.verifier import _sharded, _strings
 
 
 class TestEnumerationSpec:
@@ -158,34 +158,82 @@ def _cpus(monkeypatch, n):
 
 
 def _faulty_canonical_text(text):
-    # Leaves a trailing "/" on every non-root output of an "a/"- or
-    # "ab/"-prefixed input: the faulty strings fall in units of both shards.
+    # Leaves a trailing "/" on every non-root output of an input that ends
+    # in "/a": the faulty strings are spread over the whole rank order, so
+    # they fall in every shard.
     out = _canonical_text(text)
-    if out != "/" and text.startswith(("a/", "ab/")):
+    if out != "/" and text.endswith("/a"):
         return out + "/"
     return out
 
 
+def _cuts(count, n):
+    """The rank ranges' bounds as the sweeps cut them for n CPUs."""
+    return [count * i // n for i in range(n + 1)]
+
+
+def _rank(spec, text):
+    return list(_strings(spec)).index(text)
+
+
 class TestSharding:
-    """The sweeps split their units across CPUs; nothing else may change."""
+    """The sweeps split the ranks across CPUs; nothing else may change."""
 
     SPEC = EnumerationSpec(alphabet="/.ab", max_len=6)
 
-    def test_units_walk_in_shortlex_order(self):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rank_ranges_concatenate_to_shortlex_order(self, monkeypatch, n):
         spec = EnumerationSpec(alphabet="/.a", max_len=5)
-        walked = [s for u in _units(spec) for s in _unit_strings(spec, u)]
         want = [
             "".join(chars)
             for length in range(spec.max_len + 1)
             for chars in itertools.product(spec.alphabet, repeat=length)
         ]
-        assert walked == want
-        assert len(walked) == total_count(spec) == 364
         visited = []
-        assert enumerate_all(spec, visited.append) == 364
+        assert enumerate_all(spec, visited.append) == total_count(spec) == 364
         assert visited == want
+        cuts = _cuts(364, n)
+        ranges = [list(_strings(spec, lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        assert [s for strings in ranges for s in strings] == want
+        sizes = [len(strings) for strings in ranges]
+        assert max(sizes) - min(sizes) <= 1
+        # The sweeps cut the same ranges and concatenate their findings in
+        # order: a scan whose one finding is the list of strings it saw
+        # returns the ranges.
+        def scan(strings):
+            seen = list(strings)
+            return len(seen), [seen]
 
-    def test_preimages_independent_of_cpu_count(self, monkeypatch):
+        _cpus(monkeypatch, n)
+        assert _sharded(spec, scan, 364) == ranges
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_caller_runs_the_first_and_smallest_range(self, monkeypatch, n):
+        # The caller also forks and merges, so it must not take the most work.
+        # A child's calls land in its own copy of these lists, so the caller
+        # sees only the range it ran itself.
+        spec = EnumerationSpec()
+        count = total_count(spec)
+        caller, forked = [], []
+        fork_shard = verifier_module._fork_shard
+
+        def fork(scan, strings):
+            forked.append(strings)
+            return fork_shard(scan, strings)
+
+        def scan(strings):
+            seen = list(strings)
+            caller.append(seen)
+            return len(seen), []
+
+        monkeypatch.setattr(verifier_module, "_fork_shard", fork)
+        _cpus(monkeypatch, n)
+        assert _sharded(spec, scan, count) == []
+        assert len(forked) == n - 1
+        assert caller == [list(_strings(spec, 0, count // n))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_preimages_independent_of_cpu_count(self, monkeypatch, n):
         target = CanonicalPath("/a/b")
         plain = []
 
@@ -194,13 +242,12 @@ class TestSharding:
                 plain.append(text)
 
         enumerate_all(self.SPEC, collect)
-        _cpus(monkeypatch, 1)
-        one = preimages_of(self.SPEC, target)
-        _cpus(monkeypatch, 2)
-        assert preimages_of(self.SPEC, target) == one == plain
+        _cpus(monkeypatch, n)
+        assert preimages_of(self.SPEC, target) == plain
         assert len(plain) > 10
 
-    def test_faulty_residue_independent_of_cpu_count(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_faulty_residue_independent_of_cpu_count(self, monkeypatch, n):
         monkeypatch.setattr(verifier_module, "_canonical_text", _faulty_canonical_text)
         plain = []
 
@@ -210,87 +257,56 @@ class TestSharding:
                 plain.append((text, out, "trailing-slash"))
 
         enumerate_all(self.SPEC, collect)
-        _cpus(monkeypatch, 1)
-        one = verify_no_residue(self.SPEC)
-        _cpus(monkeypatch, 2)
-        two = verify_no_residue(self.SPEC)
-        assert two == one
-        assert [(v.input, v.output, v.offending) for v in two] == plain
-        # Faulty strings lie in units of both shards.
-        faulty = {v.input for v in two}
-        shards = {
-            index % 2
-            for index, unit in enumerate(_units(self.SPEC))
-            if faulty.intersection(_unit_strings(self.SPEC, unit))
-        }
-        assert shards == {0, 1}
+        _cpus(monkeypatch, n)
+        found = verify_no_residue(self.SPEC)
+        assert [(v.input, v.output, v.offending) for v in found] == plain
+        # Faulty strings lie in every shard's rank range.
+        faulty = {v.input for v in found}
+        ranks = [r for r, text in enumerate(_strings(self.SPEC)) if text in faulty]
+        cuts = _cuts(total_count(self.SPEC), n)
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert any(lo <= r < hi for r in ranks)
 
-    def test_divergence_in_child_shard_raises_in_caller(self, monkeypatch):
-        # "a" is in unit 3 (length 1, prefix "a"), which shard 1 runs; "/a"
-        # is in shard 0. The first in shortlex order, "a", must be reported.
-        spec = EnumerationSpec(alphabet="/.a", max_len=3)
-        assert _units(spec)[3] == (1, "a") and _units(spec)[6] == (2, "/a")
+    # Over "/.a" up to length 3 (40 strings), the preimages of "/a" are, in
+    # shortlex order: "a", "/a", "a/", "//a", "/a/", "./a", "a//" and "a/.".
+    # "./a" has rank 24, so it lies in a child's range for n = 2, 3 and 4.
+    PREIMAGE_SPEC = EnumerationSpec(alphabet="/.a", max_len=3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_divergence_in_child_shard_raises_in_caller(self, monkeypatch, n):
+        # The oracle disagrees on "./a" and on "a//", which lies in a later
+        # range for n = 3 and 4. The first in shortlex order, "./a", must be
+        # reported.
+        spec = self.PREIMAGE_SPEC
+        assert _rank(spec, "./a") == 24 and _rank(spec, "a//") == 31
 
         def faulty_oracle(raw):
-            if raw in ("a", "/a"):
+            if raw in ("./a", "a//"):
                 return CanonicalPath("/x")
             return rewrite_canonicalize(raw)
 
         monkeypatch.setattr(verifier_module, "rewrite_canonicalize", faulty_oracle)
-        messages = []
-        for n in (1, 2):
-            _cpus(monkeypatch, n)
-            with pytest.raises(AssertionError) as err:
-                preimages_of(spec, CanonicalPath("/a"))
-            messages.append(str(err.value))
-        assert messages[0] == messages[1] == "oracle divergence on 'a': stack says '/a'"
+        _cpus(monkeypatch, n)
+        with pytest.raises(AssertionError) as err:
+            preimages_of(spec, CanonicalPath("/a"))
+        assert str(err.value) == "oracle divergence on './a': stack says '/a'"
 
-    def test_oracle_error_reaches_the_caller_unchanged(self, monkeypatch):
-        # "a" is in a child's shard when n is 2; the oracle's own error must
-        # not turn into a failed shard.
-        spec = EnumerationSpec(alphabet="/.a", max_len=3)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_oracle_error_reaches_the_caller_unchanged(self, monkeypatch, n):
+        # "./a" is in a child's range when n is 2 or more; the oracle's own
+        # error must not turn into a failed shard.
+        spec = self.PREIMAGE_SPEC
+        assert n == 1 or _rank(spec, "./a") >= total_count(spec) // n
 
         def failing_oracle(raw):
-            if raw == "a":
-                raise ValueError("oracle failed on 'a'")
+            if raw == "./a":
+                raise ValueError("oracle failed on './a'")
             return rewrite_canonicalize(raw)
 
         monkeypatch.setattr(verifier_module, "rewrite_canonicalize", failing_oracle)
-        for n in (1, 2):
-            _cpus(monkeypatch, n)
-            with pytest.raises(ValueError, match="^oracle failed on 'a'$"):
-                preimages_of(spec, CanonicalPath("/a"))
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_caller_runs_the_smallest_shard(self, monkeypatch, n):
-        # The caller also forks and merges, so it must not take the most work.
-        # A child's calls land in its own copy of these lists, so the caller
-        # sees only the shard it ran itself.
-        spec = EnumerationSpec()
-        caller, forked = [], []
-        run_shard, fork_shard = verifier_module._run_shard, verifier_module._fork_shard
-
-        def run_in_caller(spec, scan, units):
-            caller.append(units)
-            return run_shard(spec, scan, units)
-
-        def fork(spec, scan, units):
-            forked.append(units)
-            return fork_shard(spec, scan, units)
-
-        def count(strings):
-            return sum(1 for _ in strings), []
-
-        monkeypatch.setattr(verifier_module, "_run_shard", run_in_caller)
-        monkeypatch.setattr(verifier_module, "_fork_shard", fork)
         _cpus(monkeypatch, n)
-        assert verifier_module._sharded(spec, count, total_count(spec)) == []
-
-        def size(units):
-            return sum(1 for u in units for _ in _unit_strings(spec, u))
-
-        assert len(caller) == 1 and len(forked) == n - 1
-        assert all(size(caller[0]) <= size(units) for units in forked)
+        with pytest.raises(ValueError, match=r"^oracle failed on '\./a'$"):
+            preimages_of(spec, CanonicalPath("/a"))
 
     def test_child_exiting_abnormally_raises_runtime_error(self, monkeypatch):
         caller = os.getpid()
