@@ -36,7 +36,6 @@ from .model import (
 from .oracle import rewrite_canonicalize
 from .verifier import (
     DEFAULT_ALPHABET,
-    DEFAULT_BUDGET,
     EnumerationSpec,
     ResidueViolation,
     enumerate_all,
@@ -51,7 +50,6 @@ __all__ = [
     "BudgetExceeded",
     "CanonicalPath",
     "DEFAULT_ALPHABET",
-    "DEFAULT_BUDGET",
     "DivergenceRecord",
     "EmbeddedNul",
     "EnumerationSpec",

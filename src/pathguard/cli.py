@@ -26,7 +26,6 @@ from .canonical import _canonical_text, _jail, load_whitelist, underflows
 from .model import CanonicalPath, PathError, RawPathString, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
-    DEFAULT_BUDGET,
     EnumerationSpec,
     preimages_of,
     total_count,
@@ -92,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-len", type=int, default=8)
     verify.add_argument("--alphabet", default=DEFAULT_ALPHABET)
     verify.add_argument("--target", help="list preimages of this canonical path")
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     diff = sub.add_parser(
         "diff",
@@ -235,7 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         spec = EnumerationSpec(alphabet=args.alphabet, max_len=args.max_len)
         started = time.monotonic()
         if args.target is None:
-            found = verify_no_residue(spec, budget=args.budget)
+            found = verify_no_residue(spec)
             visited = total_count(spec)
             doc = {"mode": "no-residue", "violations": [vars(v) for v in found]}
             doc["summary"] = {"visited": visited, "violations": len(found)}
@@ -243,7 +241,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"{len(found)} violations / {visited} visited")
         else:
             target = CanonicalPath(args.target)
-            found = preimages_of(spec, target, budget=args.budget)
+            found = preimages_of(spec, target)
             doc = {"mode": "preimages", "target": target, "preimages": found}
             doc["summary"] = {"visited": total_count(spec), "count": len(found)}
             lines = [*found, f"{len(found)} preimages of {target}"]

@@ -8,6 +8,11 @@ survive in any output, and the preimage search lists every input that
 reaches a chosen canonical target (cross-checked against the independent
 rewriting oracle).
 
+A sweep visits at most ``MAX_SWEEP`` (2,000,000) strings; a larger space
+is refused with :class:`BudgetExceeded` before any string is visited. The
+limit is fixed: no flag or argument raises it. Over the default "/.abc",
+``max_len`` 8 (488,281 strings) runs and 9 (2,441,406) is refused.
+
 One enumerator, ``_strings``, walks the shortlex order and yields any
 contiguous range of its ranks. The two sweeps cut the ranks into one range
 per CPU in the process's affinity mask, whose sizes differ by at most one
@@ -34,7 +39,8 @@ from .model import BudgetExceeded, CanonicalPath, RawPathString, _new
 from .oracle import rewrite_canonicalize
 
 DEFAULT_ALPHABET = "/.abc"
-DEFAULT_BUDGET = 2_000_000
+# The most strings one sweep may visit; see the module docstring.
+MAX_SWEEP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -71,16 +77,16 @@ def total_count(spec: EnumerationSpec) -> int:
     return (k ** (spec.max_len + 1) - 1) // (k - 1)
 
 
-def _checked_count(spec: EnumerationSpec, budget: int) -> int:
-    """:func:`total_count`, refused if it exceeds ``budget``. The count is
-    at least 2**max_len, so a ``max_len`` of the budget's bit length or more
-    is refused before the power is taken, however large it is."""
-    if spec.max_len < budget.bit_length():
+def _checked_count(spec: EnumerationSpec) -> int:
+    """:func:`total_count`, refused if it exceeds ``MAX_SWEEP``. The count
+    is at least 2**max_len, so a ``max_len`` of the limit's bit length or
+    more is refused before the power is taken, however large it is."""
+    if spec.max_len < MAX_SWEEP.bit_length():
         count = total_count(spec)
-        if count <= budget:
+        if count <= MAX_SWEEP:
             return count
     raise BudgetExceeded(
-        f"enumeration up to length {spec.max_len} exceeds budget {budget}"
+        f"enumeration up to length {spec.max_len} exceeds budget {MAX_SWEEP}"
     )
 
 
@@ -107,21 +113,16 @@ def _strings(
     return map("".join, islice(every, start, stop))
 
 
-def enumerate_all(
-    spec: EnumerationSpec,
-    visit: Callable[[str], None],
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
+def enumerate_all(spec: EnumerationSpec, visit: Callable[[str], None]) -> int:
     """Visit every string over the alphabet, shortlex order, exactly once,
     as ``_strings`` yields them.
 
     Returns the count visited.
 
     Raises:
-        BudgetExceeded: the closed-form count exceeds ``budget``.
+        BudgetExceeded: the closed-form count exceeds ``MAX_SWEEP``.
     """
-    count = _checked_count(spec, budget)
+    count = _checked_count(spec)
     for text in _strings(spec):
         visit(text)
     return count
@@ -174,18 +175,19 @@ def _reap(pid: int, data: bytes) -> ShardResult:
     return marshal.loads(data)
 
 
-def _sharded(spec: EnumerationSpec, scan: Scan, budget: int) -> list:
+def _sharded(spec: EnumerationSpec, scan: Scan) -> list:
     """Run ``scan`` over every string, one rank range per CPU this process
     may use.
 
     Returns the findings of all ranges, concatenated in shortlex order.
 
     Raises:
-        BudgetExceeded: before any shard starts.
+        BudgetExceeded: the count exceeds ``MAX_SWEEP``, before any shard
+            starts.
         RuntimeError: a shard failed, or the shards did not visit every
             string exactly once.
     """
-    count = _checked_count(spec, budget)
+    count = _checked_count(spec)
     n = min(_cpu_count(), count)
     cuts = [count * i // n for i in range(n + 1)]
     results: List[ShardResult] = []
@@ -231,26 +233,17 @@ def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:
     return count, found
 
 
-def verify_no_residue(
-    spec: EnumerationSpec, *, budget: int = DEFAULT_BUDGET
-) -> List[ResidueViolation]:
+def verify_no_residue(spec: EnumerationSpec) -> List[ResidueViolation]:
     """Sweep the whole input space; an empty result certifies no-residue.
 
     Every enumerated string is canonicalized and the output checked for
     "//", "/./", "/../", a last "/." or "/.." (reported as "/./", "/../"),
     a missing leading "/", or a non-root trailing "/".
     """
-    return [
-        ResidueViolation(*found) for found in _sharded(spec, _residue_scan, budget)
-    ]
+    return [ResidueViolation(*found) for found in _sharded(spec, _residue_scan)]
 
 
-def preimages_of(
-    spec: EnumerationSpec,
-    target: CanonicalPath,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> List[str]:
+def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
     """All enumerated strings that canonicalize to ``target``, shortlex order.
 
     Every hit is cross-checked against the rewriting oracle in the caller,
@@ -267,7 +260,7 @@ def preimages_of(
                 hits.append(text)
         return count, hits
 
-    hits = _sharded(spec, scan, budget)
+    hits = _sharded(spec, scan)
     for text in hits:
         if rewrite_canonicalize(_new(RawPathString, text)) != target:
             raise AssertionError(

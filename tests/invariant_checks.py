@@ -1,4 +1,4 @@
-"""Shared checkers and generators for the lemma and theorem suites."""
+"""Checkers and generators shared by the acceptance and property tests."""
 
 from __future__ import annotations
 

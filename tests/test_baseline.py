@@ -85,10 +85,7 @@ class TestRunDifferential:
     def test_canonical_outputs_never_carry_residue(self):
         corpus = [validate_raw(t) for t in GOLDEN]
         for record in run_differential(corpus):
-            out = record.canonical_output.text
-            for bad in ("//", "/./", "/../"):
-                assert bad not in out
-            assert out == "/" or not out.endswith("/")
+            assert is_canonical_text(record.canonical_output)
 
 
 class TestLoadCorpus:
@@ -124,9 +121,7 @@ class TestLoadCorpus:
     def test_canonicalize_never_emits_residue_on_corpus(self):
         corpus = load_corpus("/etc../\n/etc/passwd\n//a//b\n../x\n")
         for raw in corpus:
-            out = canonicalize(raw).text
-            for bad in ("//", "/./", "/../"):
-                assert bad not in out
+            assert is_canonical_text(canonicalize(raw))
 
 
 class TestDecodeOrder:

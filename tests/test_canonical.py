@@ -25,7 +25,7 @@ from pathguard.canonical import _canonical_text, _walk
 from pathguard.verifier import _sharded
 
 
-class TestTokenize:
+class TestWalkParts:
     """The walk's parts, seen through the trace: one snapshot per part."""
 
     def test_repeated_separators(self):
@@ -50,7 +50,7 @@ class TestTokenize:
             assert canonicalize(validate_raw(rebuilt)) == canonicalize(raw)
 
 
-class TestStackToString:
+class TestFinalStack:
     """The final stack's string form is the canonical path."""
 
     def test_empty_stack_is_root(self):
@@ -127,9 +127,8 @@ class TestCanonicalize:
 
     def test_every_output_is_canonical_without_the_rescan(self):
         # canonicalize wraps its result without re-running is_canonical_text,
-        # so check the claim exhaustively. Unlike the residue sweep, which
-        # looks for "//", "/./" and "/../", this also catches a trailing
-        # "/..", "/." or "/".
+        # so check the claim exhaustively on the CanonicalPath it returns.
+        # The residue sweep checks the same rule on _canonical_text's text.
         bad = []
 
         def visit(text):
@@ -219,7 +218,7 @@ class TestFastPath:
         # for its own exact count.
         spec = EnumerationSpec(alphabet=alphabet, max_len=10)
         assert total_count(spec) == visited
-        assert _sharded(spec, _fast_path_scan, visited) == []
+        assert _sharded(spec, _fast_path_scan) == []
 
     def test_nul_never_reaches_normpath(self, monkeypatch):
         # Early 3.11 releases of the C core stopped at a NUL, which would

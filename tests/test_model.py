@@ -75,6 +75,27 @@ class TestCanonicalPath:
         assert CanonicalPath("/").components == ()
         assert CanonicalPath("/a/b").components == ("a", "b")
 
+    # components holds exactly the names that sit between separators, so a
+    # name is a component iff "/name/" occurs in the path with one "/"
+    # appended: the final component counts, a partial name does not.
+    def test_inner_component(self):
+        assert "etc" in CanonicalPath("/etc/passwd").components
+
+    def test_partial_name_does_not_count(self):
+        assert "my_dir" not in CanonicalPath("/my_dir1").components
+
+    def test_final_component_counts(self):
+        assert "passwd" in CanonicalPath("/etc/passwd").components
+
+    def test_equivalent_to_component_split_on_canonical_paths(self):
+        for k in range(0, 6):
+            for chars in itertools.product("/.ab", repeat=k):
+                canon = canonicalize(validate_raw("".join(chars)))
+                for name in ["a", "b", "ab", "ba"]:
+                    assert (name in canon.components) == (
+                        f"/{name}/" in canon.text + "/"
+                    )
+
     def test_is_canonical_text_matches_fixpoint(self):
         # The substring check must agree with "canonicalizing is identity"
         # on every string over /.a up to length 10 (88,573 strings).

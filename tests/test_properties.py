@@ -73,15 +73,6 @@ def test_fast_path_equals_the_walk_on_arbitrary_text(text):
 
 
 @given(path_texts)
-def test_no_residue(text):
-    out = canonicalize(validate_raw(text)).text
-    for bad in ("//", "/./", "/../"):
-        assert bad not in out
-    assert out.startswith("/")
-    assert out == "/" or not out.endswith("/")
-
-
-@given(path_texts)
 def test_length_monotone_for_absolute_inputs(text):
     raw = validate_raw("/" + text)
     assert len(canonicalize(raw).text) <= len(raw.text)

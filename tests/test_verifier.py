@@ -81,6 +81,15 @@ class TestEnumerateAll:
         with pytest.raises(BudgetExceeded):
             enumerate_all(spec, lambda s: None)
 
+    def test_limit_is_read_at_call_time(self, monkeypatch):
+        # The overnight sweep raises the fixed limit this way; 7 strings.
+        spec = EnumerationSpec(alphabet="/.", max_len=2)
+        monkeypatch.setattr(verifier_module, "MAX_SWEEP", 6)
+        with pytest.raises(BudgetExceeded, match="exceeds budget 6$"):
+            verify_no_residue(spec)
+        monkeypatch.setattr(verifier_module, "MAX_SWEEP", 7)
+        assert verify_no_residue(spec) == []
+
 
 class TestVerifyNoResidue:
     def test_small_sweep_is_clean(self):
@@ -205,7 +214,7 @@ class TestSharding:
             return len(seen), [seen]
 
         _cpus(monkeypatch, n)
-        assert _sharded(spec, scan, 364) == ranges
+        assert _sharded(spec, scan) == ranges
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_caller_runs_the_first_and_smallest_range(self, monkeypatch, n):
@@ -228,7 +237,7 @@ class TestSharding:
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
         _cpus(monkeypatch, n)
-        assert _sharded(spec, scan, count) == []
+        assert _sharded(spec, scan) == []
         assert len(forked) == n - 1
         assert caller == [list(_strings(spec, 0, count // n))]
 
