@@ -12,11 +12,10 @@ Do not "fix" this module; its purpose is demonstrating someone else's bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 from .canonical import canonicalize
-from .model import CanonicalPath, RawPathString, _new, numbered_paths
+from .model import CanonicalPath, RawPathString, _new, _read_paths
 
 _RESIDUE_SUBSTRINGS = ("..", "//", "/./", "/../")
 
@@ -72,8 +71,7 @@ def de_dotdot(raw: RawPathString) -> str:
     return file
 
 
-@dataclass(frozen=True)
-class DivergenceRecord:
+class DivergenceRecord(NamedTuple):
     """One input where the legacy baseline and the canonicalizer disagree."""
 
     input: RawPathString
@@ -122,5 +120,6 @@ def run_differential(corpus: Sequence[RawPathString]) -> List[DivergenceRecord]:
 def load_corpus(source: Union[str, Iterable[str]]) -> List[RawPathString]:
     """Load raw test paths from text: one per line, lines ending at "\\n"
     only, "#" comments and blanks skipped. A line that fails validation
-    raises EmbeddedNul or PathTooLong naming the line."""
-    return [_new(RawPathString, text) for _, text in numbered_paths(source, "corpus")]
+    raises EmbeddedNul or PathTooLong naming the line. An open file is read
+    whole, as :func:`~pathguard.canonical.load_whitelist` reads it."""
+    return [_new(RawPathString, text) for text in _read_paths(source, "corpus")]

@@ -27,13 +27,11 @@ from typing import Iterable, List, Optional, Tuple, Union
 
 from .model import (
     CanonicalPath,
-    NonCanonicalEntry,
     RawPathString,
     Whitelist,
     _checked,
     _new,
-    is_canonical_text,
-    numbered_paths,
+    _read_paths,
 )
 
 # posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
@@ -66,9 +64,9 @@ def _walk(text: str, trace: Optional[list] = None) -> Tuple[List[str], int]:
 
 def _canonical_text(text: str) -> str:
     """The walk's text, ``"/" + "/".join(stack)``, computed by normpath on
-    checked text. The leading separators are cut to one, as POSIX keeps a
-    leading "//"."""
-    return _normpath("/" + text.lstrip("/"))
+    checked text. Three "/" go in front: POSIX keeps a leading "//", but
+    normpath folds three or more leading "/" to one, in C and in Python."""
+    return _normpath("///" + text)
 
 
 def canonicalize(raw: RawPathString) -> CanonicalPath:
@@ -156,18 +154,17 @@ def load_whitelist(
     stripped; duplicates collapse.
     Entries must already be canonical unless ``canonicalize_entries`` is
     set -- silent rewriting would hide operator mistakes in a security
-    control, so auto-fixing is opt-in.
+    control, so auto-fixing is opt-in. An open file is read whole, and each
+    check runs once over all the entries.
 
     Raises:
         NonCanonicalEntry: a line is not a fixpoint of canonicalization.
         EmbeddedNul, PathTooLong: a line fails validation; the message
             names the line.
+        io.UnsupportedOperation: ``source`` is a text file that has already
+            been read from.
     """
-    entries = set()
-    for line_number, text in numbered_paths(source, "whitelist"):
-        if canonicalize_entries:
-            text = _canonical_text(text)
-        elif not is_canonical_text(text):
-            raise NonCanonicalEntry(line_number, text)
-        entries.add(text)
-    return Whitelist(frozenset(entries))
+    paths = _read_paths(source, "whitelist", canonical=not canonicalize_entries)
+    if canonicalize_entries:
+        paths = map(_canonical_text, paths)
+    return Whitelist(frozenset(paths))

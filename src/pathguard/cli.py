@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import sys
 import time
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
@@ -223,6 +222,7 @@ def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) ->
     ``doc`` as one JSON line with ``--format structured``, else ``lines``."""
     doc["summary"]["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "structured":
+        import json  # only here: canon and check never load it
         print(json.dumps(doc))
     else:
         print("\n".join(lines))
@@ -235,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.target is None:
             found = verify_no_residue(spec)
             visited = total_count(spec)
-            doc = {"mode": "no-residue", "violations": [vars(v) for v in found]}
+            doc = {"mode": "no-residue", "violations": [v._asdict() for v in found]}
             doc["summary"] = {"visited": visited, "violations": len(found)}
             lines = [f"{v.input} -> {v.output} [{v.offending}]" for v in found]
             lines.append(f"{len(found)} violations / {visited} visited")
@@ -259,7 +259,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     started = time.monotonic()
     records = run_differential(corpus)
-    doc = {"mode": "diff", "records": [vars(r) for r in records]}
+    doc = {"mode": "diff", "records": [r._asdict() for r in records]}
     doc["summary"] = {"inputs": len(corpus), "divergences": len(records)}
     lines = [
         f"{r.input} | baseline={r.baseline_output} | canonical={r.canonical_output}"

@@ -19,8 +19,7 @@ never turn a deny into an allow.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, List, Union
 
 # The longest path, in characters, that validate_raw accepts.
 MAX_PATH_LEN = 4096
@@ -118,11 +117,12 @@ def is_canonical_text(text: str) -> bool:
     trailing separator, and every component is a non-empty name other than
     "." and "..". With a "/" appended, an empty, "." or ".." component is
     exactly an occurrence of "//", "/./" or "/../", so the check is three
-    substring searches.
+    substring searches. A trailing separator needs no test of its own: it
+    leaves an empty last component, so the appended "/" makes it a "//".
     """
     if text == "/":
         return True
-    if not text.startswith("/") or text.endswith("/"):
+    if not text.startswith("/"):
         return False
     text += "/"
     return "//" not in text and "/./" not in text and "/../" not in text
@@ -153,42 +153,70 @@ class CanonicalPath(str):
         return f"CanonicalPath({str.__repr__(self)})"
 
 
-def numbered_paths(
-    source: Union[str, Iterable[str]], kind: str
-) -> Iterator[Tuple[int, str]]:
-    """``(line number, checked path)`` for each line of a whitelist or
-    corpus file that holds a path; ``kind`` names the file in errors.
+def _read_paths(
+    source: Union[str, Iterable[str]], kind: str, canonical: bool = False
+) -> List[str]:
+    """The paths of a whitelist or corpus file, in order, held to the NUL
+    and length rule and, if ``canonical`` is set, to be canonical.
 
-    ``source`` is the whole text or an iterable of lines, such as an open
-    file. A line ends at "\\n" only, as on ``--stdin``: a "\\r" or other
-    control character inside it is part of the path. A file opened in text
-    mode is switched to ``newline="\\n"`` before it is read, so universal
-    newlines cannot split a line at a "\\r". Surrounding spaces, tabs and
-    line endings are stripped; blank lines and "#" comments are skipped but
-    counted.
+    ``source`` is the whole text or an iterable of lines. A text-mode file
+    is switched to ``newline="\\n"`` and read whole: the load holds its
+    text and one list of its lines. Lines end at "\\n" only, as on
+    ``--stdin``. Surrounding spaces, tabs and line endings are stripped;
+    blank lines and "#" comments are skipped but counted. Each check runs
+    once over all the paths; the lines are walked one by one only to name
+    the first that fails.
 
     Raises:
         EmbeddedNul, PathTooLong: with ``"<kind> line N: "`` in front.
-        io.UnsupportedOperation: ``source`` is a text file that has already
-            been read from, so its newline mode can no longer be switched.
+        NonCanonicalEntry: ``canonical`` is set and a line is not canonical.
+        io.UnsupportedOperation: ``source`` is a text file already read from.
     """
     if isinstance(source, io.TextIOWrapper):
         source.reconfigure(newline="\n")
-    lines = source.split("\n") if isinstance(source, str) else source
+        source = source.read()
+    lines = source.split("\n") if isinstance(source, str) else list(source)
+    paths = [p for line in lines if (p := line.strip(" \t\r\n")) and p[0] != "#"]
+    if (
+        "\x00" not in "".join(paths)
+        and max(map(len, paths), default=0) <= MAX_PATH_LEN
+        and (not canonical or all(map(is_canonical_text, paths)))
+    ):
+        return paths
     for line_number, line in enumerate(lines, start=1):
-        stripped = line.strip(" \t\r\n")
-        if stripped and not stripped.startswith("#"):
-            try:
-                path = _checked(stripped)
-            except (EmbeddedNul, PathTooLong) as exc:
-                raise type(exc)(f"{kind} line {line_number}: {exc}") from None
-            yield line_number, path
+        path = line.strip(" \t\r\n")
+        if path and not path.startswith("#"):
+            _checked(path, f"{kind} line {line_number}: path")
+            if canonical and not is_canonical_text(path):
+                raise NonCanonicalEntry(line_number, path)
+    return paths
 
 
-@dataclass(frozen=True)
 class Whitelist:
     """A deduplicated set of canonical paths, held as plain ``str``.
-    Default-deny."""
+    Default-deny. Read-only; compared, hashed and pickled by its entries.
+    A slot, not a tuple field: 3.11 specializes a slot read, and every
+    decision reads ``entries``."""
 
-    entries: frozenset = frozenset()
+    __slots__ = ("entries",)
 
+    def __init__(self, entries: frozenset = frozenset()) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change Whitelist.{name}")
+
+    __delattr__ = __setattr__  # called without a value
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self.entries == other.entries if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Whitelist(entries={self.entries!r})"
+
+    def __reduce__(self) -> tuple:
+        return Whitelist, (self.entries,)

@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import marshal
 import os
-from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Tuple
 
 from .canonical import _canonical_text
 from .model import BudgetExceeded, CanonicalPath, RawPathString, _new
@@ -43,26 +42,28 @@ DEFAULT_ALPHABET = "/.abc"
 MAX_SWEEP = 2_000_000
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(NamedTuple("_Spec", [("alphabet", str), ("max_len", int)])):
     """Alphabet (in enumeration order) and maximum string length."""
 
-    alphabet: str = DEFAULT_ALPHABET
-    max_len: int = 8
+    __slots__ = ()
+    # _replace builds through _make: route both through the checks.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
-        if "/" not in self.alphabet or "." not in self.alphabet:
+    def __new__(
+        cls, alphabet: str = DEFAULT_ALPHABET, max_len: int = 8
+    ) -> "EnumerationSpec":
+        if "/" not in alphabet or "." not in alphabet:
             raise ValueError("alphabet must contain '/' and '.'")
-        if "\x00" in self.alphabet:
+        if "\x00" in alphabet:
             raise ValueError("alphabet must not contain NUL")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet must not repeat characters")
-        if self.max_len < 0:
+        if max_len < 0:
             raise ValueError("max_len must be non-negative")
+        return super().__new__(cls, alphabet, max_len)
 
 
-@dataclass(frozen=True)
-class ResidueViolation:
+class ResidueViolation(NamedTuple):
     """A canonicalizer output that still contains traversal residue."""
 
     input: str
@@ -102,7 +103,7 @@ _SIGKILL = 9
 
 
 def _strings(
-    spec: EnumerationSpec, start: int = 0, stop: Optional[int] = None
+    spec: EnumerationSpec, start: int = 0, stop: int | None = None
 ) -> Iterator[str]:
     """The strings of shortlex rank ``start`` up to ``stop``: shorter
     strings first, each length in alphabet order. The one enumerator; every

@@ -2,22 +2,37 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import pathguard
 
 # Serve and batch processes import the package too; each of these would add
 # to their start-up time and peak memory, and no decision needs one.
-HEAVY = ("pickle", "multiprocessing", "concurrent.futures", "logging")
+# dataclasses loads inspect, which loads ast, dis and tokenize; json is
+# only for ``--format structured``, which imports it when it prints.
+HEAVY = (
+    "pickle",
+    "multiprocessing",
+    "concurrent.futures",
+    "logging",
+    "dataclasses",
+    "inspect",
+    "json",
+)
 
 
-def test_import_loads_no_heavy_modules():
+@pytest.mark.parametrize("module", ["pathguard", "pathguard.cli"])
+def test_import_loads_no_heavy_modules(module):
+    # -S: a .pth file in site-packages may load one of these before the
+    # package does, and hide the package's own import.
     src = os.path.dirname(os.path.dirname(pathguard.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
-        "import sys, pathguard\n"
+        f"import sys, {module}\n"
         f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         env=env,
         capture_output=True,
         text=True,

@@ -1,5 +1,8 @@
+import copy
 import gc
+import io
 import itertools
+import pickle
 
 import pytest
 
@@ -16,7 +19,7 @@ from pathguard import (
     load_whitelist,
     validate_raw,
 )
-from pathguard.model import _checked
+from pathguard.model import MAX_PATH_LEN, _checked
 
 
 class TestValidateRaw:
@@ -185,6 +188,114 @@ class TestWhitelist:
         for entry in w.entries:
             assert type(entry) is str
             assert not gc.is_tracked(entry)
+
+
+# Line shapes for the loader's texts: each check passing and failing, and
+# every stripping and skipping rule.
+LINE_SHAPES = [
+    "",
+    "/",
+    "/a",
+    "a",
+    "/a/",
+    "//a",
+    "/./a",
+    "/a/..",
+    "#/a",
+    " /a ",
+    "/a\r",
+    "/a\rb",
+    "/a\x00b",
+    "/" + "a" * MAX_PATH_LEN,
+]
+
+
+def _per_line_load(text, canonicalize_entries):
+    """The loader as a walk over the lines: each line checked on its own,
+    in file order, and a non-canonical line told by canonicalizing it."""
+    entries = set()
+    for number, line in enumerate(text.split("\n"), start=1):
+        path = line.strip(" \t\r\n")
+        if not path or path.startswith("#"):
+            continue
+        if "\x00" in path:
+            raise EmbeddedNul(f"whitelist line {number}: path contains a NUL byte")
+        if len(path) > MAX_PATH_LEN:
+            raise PathTooLong(
+                f"whitelist line {number}: path length {len(path)}"
+                f" exceeds limit {MAX_PATH_LEN}"
+            )
+        canonical = canonicalize(validate_raw(path))
+        if not canonicalize_entries and canonical != path:
+            raise NonCanonicalEntry(number, path)
+        entries.add(canonical)
+    return entries
+
+
+def _outcome(load):
+    """The entries ``load()`` returns, or its error's type, message and
+    line number."""
+    try:
+        return set(load())
+    except PathError as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+class TestLoaderMatchesPerLineLoad:
+    @pytest.mark.parametrize("canonicalize_entries", [False, True])
+    def test_every_text_of_up_to_three_lines(self, canonicalize_entries):
+        # 2,954 texts; when two lines fail, the first in file order wins,
+        # whichever check each fails.
+        for count in range(1, 4):
+            for shapes in itertools.product(LINE_SHAPES, repeat=count):
+                text = "\n".join(shapes)
+                want = _outcome(lambda: _per_line_load(text, canonicalize_entries))
+                lines = [shape + "\n" for shape in shapes]
+                data = text.encode("utf-8", "surrogateescape")
+                sources = [
+                    text,
+                    lines,
+                    io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                ]
+                for source in sources:
+                    got = _outcome(
+                        lambda: load_whitelist(
+                            source, canonicalize_entries=canonicalize_entries
+                        ).entries
+                    )
+                    assert got == want, (shapes, type(source).__name__)
+
+    def test_file_already_read_from_is_refused(self):
+        fh = io.TextIOWrapper(io.BytesIO(b"/a\n/b\n"), encoding="utf-8")
+        fh.readline()
+        with pytest.raises(io.UnsupportedOperation):
+            load_whitelist(fh)
+
+
+class TestWhitelistValue:
+    def test_read_only(self):
+        w = load_whitelist("/a\n")
+        with pytest.raises(AttributeError):
+            w.entries = frozenset()
+        with pytest.raises(AttributeError):
+            del w.entries
+        with pytest.raises(AttributeError):
+            w.extra = 1
+        assert not hasattr(w, "__dict__")
+        assert w.entries == {"/a"}
+
+    def test_compared_hashed_and_printed_by_entries(self):
+        w = Whitelist(frozenset({"/a"}))
+        assert w == load_whitelist("/a\n")
+        assert w != Whitelist() and w != frozenset({"/a"})
+        assert hash(w) == hash(Whitelist(frozenset({"/a"})))
+        assert repr(w) == "Whitelist(entries=frozenset({'/a'}))"
+
+    def test_copies_and_pickles(self):
+        w = load_whitelist("/a\n/b\n")
+        assert copy.copy(w) == w
+        assert copy.deepcopy(w) == w
+        assert pickle.loads(pickle.dumps(w)) == w
 
 
 class TestWhitelistContains:

@@ -41,6 +41,18 @@ class TestEnumerationSpec:
         with pytest.raises(ValueError):
             EnumerationSpec(max_len=-1)
 
+    def test_immutable_and_rebuilt_only_through_the_checks(self):
+        spec = EnumerationSpec("/.a", max_len=3)
+        assert repr(spec) == "EnumerationSpec(alphabet='/.a', max_len=3)"
+        assert spec == EnumerationSpec(alphabet="/.a", max_len=3)
+        with pytest.raises(AttributeError):
+            spec.max_len = 4
+        assert spec._replace(max_len=4) == EnumerationSpec("/.a", 4)
+        with pytest.raises(ValueError):
+            spec._replace(max_len=-1)
+        with pytest.raises(ValueError):
+            EnumerationSpec._make(("/.aa", 3))
+
 
 class TestEnumerateAll:
     def test_single_letter_alphabet(self):
