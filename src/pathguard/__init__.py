@@ -15,7 +15,6 @@ from .baseline import (
 )
 from .canonical import (
     canonicalize,
-    canonicalize_jailed,
     canonicalize_traced,
     load_whitelist,
     sanitize,
@@ -60,7 +59,6 @@ __all__ = [
     "ResidueViolation",
     "Whitelist",
     "canonicalize",
-    "canonicalize_jailed",
     "canonicalize_traced",
     "de_dotdot",
     "enumerate_all",

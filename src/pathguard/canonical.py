@@ -25,14 +25,7 @@ from __future__ import annotations
 import posixpath
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .model import (
-    CanonicalPath,
-    RawPathString,
-    Whitelist,
-    _checked,
-    _new,
-    _read_paths,
-)
+from .model import CanonicalPath, RawPathString, Whitelist, _new, _read_paths
 
 # posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
 # without the public wrapper's fspath and bytes handling; the pure-Python
@@ -122,28 +115,6 @@ def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     return _canonical_text(raw) in whitelist.entries
 
 
-def _jail(root: str, text: str) -> str:
-    """``root + "/" + text``, held to the NUL and length rule."""
-    return _checked(root + "/" + text, "jailed path")
-
-
-def canonicalize_jailed(root: CanonicalPath, raw: RawPathString) -> CanonicalPath:
-    """Prepend an application root before canonicalizing.
-
-    The result is NOT guaranteed to stay under ``root``: ".." can still
-    climb out of the jail, so callers must whitelist or prefix-check the
-    result.
-
-    Raises:
-        EmbeddedNul, PathTooLong: the combined string breaks the NUL and
-            length rule.
-        TypeError: ``raw`` is not a RawPathString.
-    """
-    if not isinstance(raw, RawPathString):
-        raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    return _new(CanonicalPath, _canonical_text(_jail(root, raw)))
-
-
 def load_whitelist(
     source: Union[str, Iterable[str]], *, canonicalize_entries: bool = False
 ) -> Whitelist:
@@ -167,4 +138,4 @@ def load_whitelist(
     paths = _read_paths(source, "whitelist", canonical=not canonicalize_entries)
     if canonicalize_entries:
         paths = map(_canonical_text, paths)
-    return Whitelist(frozenset(paths))
+    return Whitelist(paths)

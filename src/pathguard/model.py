@@ -142,13 +142,6 @@ class CanonicalPath(str):
     def text(self) -> str:
         return str(self)
 
-    @property
-    def components(self) -> tuple:
-        """Component names from root outward; empty for the root path."""
-        if self == "/":
-            return ()
-        return tuple(self[1:].split("/"))
-
     def __repr__(self) -> str:
         return f"CanonicalPath({str.__repr__(self)})"
 
@@ -193,30 +186,20 @@ def _read_paths(
 
 
 class Whitelist:
-    """A deduplicated set of canonical paths, held as plain ``str``.
-    Default-deny. Read-only; compared, hashed and pickled by its entries.
-    A slot, not a tuple field: 3.11 specializes a slot read, and every
-    decision reads ``entries``."""
+    """A deduplicated set of canonical paths, held as a ``frozenset`` of
+    plain ``str``. Default-deny. Read-only, with no value equality: it
+    compares and hashes by identity, and a copy or an unpickled one raises
+    AttributeError. A slot, not a tuple field: 3.11 specializes a slot
+    read, and every decision reads ``entries``."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: frozenset = frozenset()) -> None:
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[str] = frozenset()) -> None:
+        # A set or a list would leave the entries mutable, or make each
+        # lookup a scan. frozenset returns a frozenset argument itself.
+        object.__setattr__(self, "entries", frozenset(entries))
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot change Whitelist.{name}")
 
     __delattr__ = __setattr__  # called without a value
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return self.entries == other.entries if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Whitelist(entries={self.entries!r})"
-
-    def __reduce__(self) -> tuple:
-        return Whitelist, (self.entries,)

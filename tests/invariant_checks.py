@@ -11,7 +11,7 @@ def trace_invariant_holds(text: str) -> bool:
     """Loop invariant: each intermediate stack is a component-prefix of the
     final path, or every entry beyond the common prefix is popped later."""
     final, trace = canonicalize_traced(RawPathString(text))
-    target = list(final.components)
+    target = final[1:].split("/") if final != "/" else []
     snapshots = trace
     sizes = [len(s) for s in snapshots]
     for i, snap in enumerate(snapshots):

@@ -47,6 +47,10 @@ class TestCanon:
         )
         assert (code, out) == (0, "/etc/passwd\n")
 
+    def test_root_of_slash_adds_nothing(self, capsys):
+        code, out, _ = run(capsys, "canon", "--root", "/", "a")
+        assert (code, out) == (0, "/a\n")
+
     def test_strict_underflow_under_root_logs_the_climb(self):
         # A child process, so the warning is read from a real stderr, which
         # the CLI writes to directly. "/srv/../../../etc" climbs above the

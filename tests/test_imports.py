@@ -1,4 +1,6 @@
+import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -46,3 +48,33 @@ def test_export_list_resolves_without_repeats():
     names = pathguard.__all__
     assert [n for n in names if not hasattr(pathguard, n)] == []
     assert len(set(names)) == len(names)
+
+
+def test_every_public_name_has_a_consumer():
+    """Every name in ``__all__`` is used outside its own unit tests: in the
+    package, the benchmark, or the acceptance suite and its helpers.
+
+    A tripwire, not a proof: it looks for the name as a whole word on any
+    line but the one that defines it, so a docstring mention still counts
+    as a use.
+    """
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    patterns = [
+        "src/pathguard/*.py",
+        "bench/*.py",
+        "tests/test_acceptance.py",
+        "tests/invariant_checks.py",
+    ]
+    lines = []
+    for pattern in patterns:
+        for path in glob.glob(os.path.join(repo, pattern)):
+            if os.path.basename(path) != "__init__.py":
+                with open(path, encoding="utf-8") as fh:
+                    lines += fh.read().splitlines()
+    unused = []
+    for name in pathguard.__all__:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []
