@@ -51,6 +51,18 @@ class TestCanon:
         code, out, _ = run(capsys, "canon", "--root", "/", "a")
         assert (code, out) == (0, "/a\n")
 
+    def test_combined_overflow_is_usage_error(self, capsys):
+        # The root and the path each fit; joined they do not.
+        root = "/" + "r" * 4090
+        code, out, err = run(capsys, "canon", "--root", root, "a" * 10)
+        assert (code, out) == (2, "")
+        assert err == "pathguard: jailed path length 4102 exceeds limit 4096\n"
+
+    def test_jailed_path_at_the_limit_is_accepted(self, capsys):
+        root = "/" + "r" * 4090
+        code, out, _ = run(capsys, "canon", "--root", root, "a" * 4)
+        assert (code, out) == (0, root + "/aaaa\n")
+
     def test_strict_underflow_under_root_logs_the_climb(self):
         # A child process, so the warning is read from a real stderr, which
         # the CLI writes to directly. "/srv/../../../etc" climbs above the
@@ -202,6 +214,19 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_root_is_prepended_before_the_lookup(self, capsys, whitelist_file):
+        code, out, _ = run(
+            capsys, "check", "--whitelist", whitelist_file, "--root", "/a", "b/c"
+        )
+        assert (code, out) == (0, "ALLOW /a/b/c\n")
+
+    def test_climb_out_of_root_is_denied(self, capsys, whitelist_file):
+        code, out, _ = run(
+            capsys, "check", "--whitelist", whitelist_file,
+            "--root", "/a/b", "../../../etc/passwd",
+        )
+        assert (code, out) == (1, "DENY /etc/passwd\n")
+
     def test_stdin_batch_exit_code(self, capsys, monkeypatch, whitelist_file):
         monkeypatch.setattr("sys.stdin", io.StringIO("/a/b/c\n/nope\n"))
         code, out, _ = run(capsys, "check", "--whitelist", whitelist_file, "--stdin")
@@ -248,6 +273,17 @@ class TestStdinStream:
         assert code == 2
         assert out == "/srv/a\n/srv/c\n"
         assert err == "pathguard: line 2: jailed path length 4100 exceeds limit 4096\n"
+
+    def test_nul_in_root_fails_every_line(self, capsys, monkeypatch):
+        # A --root is not checked for NUL on its own; every jailed line
+        # carries it and is refused.
+        monkeypatch.setattr("sys.stdin", io.StringIO("c\nd\n"))
+        code, out, err = run(capsys, "canon", "--root", "/a\x00b", "--stdin")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "pathguard: line 1: jailed path contains a NUL byte",
+            "pathguard: line 2: jailed path contains a NUL byte",
+        ]
 
     def test_undecodable_stdin_is_answered_byte_for_byte(self, monkeypatch):
         # Both streams are switched to UTF-8 with surrogateescape: the

@@ -50,6 +50,18 @@ def test_export_list_resolves_without_repeats():
     assert len(set(names)) == len(names)
 
 
+def _unused(names, lines):
+    """The names that occur as a whole word on no line but the ``def`` or
+    ``class`` line that defines them."""
+    unused = []
+    for name in names:
+        word = re.compile(rf"\b{name}\b")
+        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    return unused
+
+
 def test_every_public_name_has_a_consumer():
     """Every name in ``__all__`` is used outside its own unit tests: in the
     package, the benchmark, or the acceptance suite and its helpers.
@@ -71,10 +83,17 @@ def test_every_public_name_has_a_consumer():
             if os.path.basename(path) != "__init__.py":
                 with open(path, encoding="utf-8") as fh:
                     lines += fh.read().splitlines()
-    unused = []
-    for name in pathguard.__all__:
-        word = re.compile(rf"\b{name}\b")
-        own = re.compile(rf"^\s*(def|class)\s+{name}\b")
-        if not any(word.search(line) and not own.match(line) for line in lines):
-            unused.append(name)
-    assert unused == []
+    assert _unused(pathguard.__all__, lines) == []
+
+
+def test_tripwire_skips_the_defining_line():
+    lines = ["def f(x):", "    return x", "class C:", "    pass", "y = g(1)"]
+    assert _unused(["f", "C", "g"], lines) == ["f", "C"]
+
+
+def test_tripwire_matches_whole_words_only():
+    # canonicalize_traced is not a use of canonicalize, nor the reverse.
+    lines = ["out = canonicalize_traced(raw)", "x = precanonicalize(raw)"]
+    assert _unused(["canonicalize", "canonicalize_traced"], lines) == [
+        "canonicalize"
+    ]

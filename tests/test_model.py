@@ -17,6 +17,7 @@ from pathguard import (
     canonicalize,
     is_canonical_text,
     load_whitelist,
+    sanitize,
     validate_raw,
 )
 from pathguard.model import MAX_PATH_LEN, _checked
@@ -259,19 +260,36 @@ class TestWhitelistValue:
         assert not hasattr(w, "__dict__")
         assert w.entries == {"/a"}
 
-    def test_entries_are_frozen(self):
-        # A set or a list is frozen, so it can neither be changed after the
-        # load nor make a lookup a scan; a frozenset is kept as it is.
-        assert type(Whitelist({"/a"}).entries) is frozenset
-        assert type(Whitelist(["/a"]).entries) is frozenset
+    @pytest.mark.parametrize(
+        "make",
+        [set, list, tuple, lambda paths: (p for p in paths)],
+        ids=["set", "list", "tuple", "generator"],
+    )
+    def test_entries_are_frozen(self, make):
+        # Frozen, so the entries can neither be changed after the load nor
+        # make a lookup a scan.
+        w = Whitelist(make(["/a", "/b"]))
+        assert type(w.entries) is frozenset
+        assert w.entries == {"/a", "/b"}
+
+    def test_frozenset_is_kept_as_is(self):
         entries = frozenset({"/a"})
         assert Whitelist(entries).entries is entries
+
+    def test_set_changed_after_construction_changes_no_decision(self):
+        entries = {"/a"}
+        w = Whitelist(entries)
+        entries.add("/etc/passwd")
+        assert sanitize(validate_raw("/etc/passwd"), w) is False
+        assert sanitize(validate_raw("/a"), w) is True
 
     def test_no_value_equality_copy_or_pickle(self):
         w = load_whitelist("/a\n")
         assert w == w and w != load_whitelist("/a\n")
         with pytest.raises(AttributeError):
             copy.copy(w)
+        with pytest.raises(AttributeError):
+            copy.deepcopy(w)
         with pytest.raises(AttributeError):
             pickle.loads(pickle.dumps(w))
 
