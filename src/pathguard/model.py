@@ -66,9 +66,8 @@ class RawPathString(str):
     def __new__(cls, text: str) -> "RawPathString":
         return _new(cls, _checked(text))
 
-    @property
-    def text(self) -> str:
-        return str(self)
+    # The plain ``str``, read by a C-level getter: no Python frame.
+    text = property(str.__str__)
 
     # Typed, because a validated path and a plain str would otherwise print
     # alike in logs and test failures.
@@ -128,6 +127,36 @@ def is_canonical_text(text: str) -> bool:
     return "//" not in text and "/./" not in text and "/../" not in text
 
 
+def _all_canonical(texts: List[str]) -> bool:
+    """``all(map(is_canonical_text, texts))``, in a fixed number of C-level
+    passes over the list and one joined string, with no Python call per
+    text.
+
+    Each text is framed as ``"\\0" + text + "/"``, closed by the next
+    frame's NUL. Texts that hold a NUL are checked one by one; without
+    one, every search below stays inside one frame. A frame starts with
+    ``"\\0/"`` exactly when its text starts with "/" or is empty. With the
+    "/" appended, the root is the one canonical text that holds a "//",
+    exactly one; any other text that starts with "/" holds a "//", "/./"
+    or "/../" exactly when it is not canonical. So the "//" count must
+    equal the number of roots. Roots are counted as list items: a count of
+    framed roots such as ``"\\0//\\0"`` does not overlap, and would miss the
+    second of two adjacent roots.
+    """
+    framed = "/\0".join(["", *texts, ""])
+    n = len(texts)
+    if framed.count("\0") != n + 1:
+        # A text holds a NUL, which no frame could tell from its own.
+        return all(map(is_canonical_text, texts))
+    return (
+        framed.count("\0/") == n
+        and "" not in texts
+        and framed.count("//") == texts.count("/")
+        and "/./" not in framed
+        and "/../" not in framed
+    )
+
+
 class CanonicalPath(str):
     """A canonicalized absolute path: the single spelling used for matching."""
 
@@ -138,9 +167,8 @@ class CanonicalPath(str):
             raise ValueError(f"not in canonical form: {text!r}")
         return _new(cls, text)
 
-    @property
-    def text(self) -> str:
-        return str(self)
+    # The plain ``str``, read by a C-level getter: no Python frame.
+    text = property(str.__str__)
 
     def __repr__(self) -> str:
         return f"CanonicalPath({str.__repr__(self)})"
@@ -173,7 +201,7 @@ def _read_paths(
     if (
         "\x00" not in "".join(paths)
         and max(map(len, paths), default=0) <= MAX_PATH_LEN
-        and (not canonical or all(map(is_canonical_text, paths)))
+        and (not canonical or _all_canonical(paths))
     ):
         return paths
     for line_number, line in enumerate(lines, start=1):

@@ -23,7 +23,7 @@ there. This is one reduction order of the same rules: same normal form.
 
 from __future__ import annotations
 
-from .model import CanonicalPath, RawPathString, _new, is_canonical_text
+from .model import CanonicalPath, RawPathString, _new
 
 
 def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
@@ -32,8 +32,9 @@ def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
     The text is anchored with a leading and a trailing "/", and each rule
     in turn runs until it no longer matches: collapse "//", drop "/./",
     then absorb or cancel the leftmost "/../". Every rule shrinks the
-    string, so each stratum ends. The trailing "/" is then stripped unless
-    the result is the root, and the result is checked to be canonical.
+    string, so each stratum ends. The anchored text is then checked to
+    hold no "//", "/./" or "/../", so that the result is canonical, and its
+    trailing "/" is stripped unless the result is the root.
 
     Raises:
         TypeError: ``raw`` is not a RawPathString.
@@ -53,8 +54,11 @@ def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
             start = text.rfind("/", 0, at) if at else 0
             text = text[:start] + text[at + 3 :]
             at = text.find("/../", start)
+    # The anchored text starts and ends with "/". If it holds no "//", "/./"
+    # or "/../", it strips to a canonical result: these are the searches
+    # is_canonical_text runs, made here without a call.
+    if "//" in text or "/./" in text or "/../" in text:
+        raise ValueError(f"not in canonical form: {text[:-1]!r}")
     if len(text) > 1:
         text = text[:-1]
-    if not is_canonical_text(text):
-        raise ValueError(f"not in canonical form: {text!r}")
     return _new(CanonicalPath, text)

@@ -24,22 +24,34 @@ its order, and the first divergence reported are the same whatever the
 CPU count. A shard runs only the pure-Python checks and ends in
 ``os._exit``, so it never runs the caller's exit handlers or flushes its
 buffers.
+
+Each range is taken ``_BLOCK`` (4,096) strings at a time, a fixed size.
+The residue sweep maps a block through ``_canonical_text`` and tests all
+of its outputs at once with ``model._all_canonical``, a fixed number of
+C-level passes over one joined string. A string has no residue finding
+exactly when its output is canonical, so a clean block runs no per-string
+Python code; only a block that fails the test is walked string by string
+to name its findings. The preimage sweep keeps a block's hits with
+``itertools.compress``. Either way the findings, and their order, are
+those of a walk of one string at a time.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from itertools import chain, islice, product
+from itertools import chain, compress, islice, product
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Tuple
 
 from .canonical import _canonical_text
-from .model import BudgetExceeded, CanonicalPath, RawPathString, _new
+from .model import BudgetExceeded, CanonicalPath, RawPathString, _all_canonical, _new
 from .oracle import rewrite_canonicalize
 
 DEFAULT_ALPHABET = "/.abc"
 # The most strings one sweep may visit; see the module docstring.
 MAX_SWEEP = 2_000_000
+# Strings a sweep takes at a time; see the module docstring.
+_BLOCK = 4096
 
 
 class EnumerationSpec(NamedTuple("_Spec", [("alphabet", str), ("max_len", int)])):
@@ -216,21 +228,33 @@ def _sharded(spec: EnumerationSpec, scan: Scan) -> list:
     return [found for _, findings in results for found in findings]
 
 
+def _blocks(strings: Iterator[str]) -> Iterator[List[str]]:
+    """``strings`` in lists of ``_BLOCK``, the last one shorter."""
+    while block := list(islice(strings, _BLOCK)):
+        yield block
+
+
 def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:
+    # A string has no finding exactly when its output is canonical, so only
+    # a block whose outputs are not all canonical is walked string by string.
     found = []
     count = 0
-    for count, text in enumerate(strings, 1):
-        out = _canonical_text(text)
-        if not out.startswith("/"):
-            found.append((text, out, "missing-leading-slash"))
-        trailing = out.endswith("/")
-        if trailing and out != "/":
-            found.append((text, out, "trailing-slash"))
-        # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
-        closed = out if trailing else out + "/"
-        for bad in ("//", "/./", "/../"):
-            if bad in closed:
-                found.append((text, out, bad))
+    for block in _blocks(strings):
+        count += len(block)
+        outs = list(map(_canonical_text, block))
+        if _all_canonical(outs):
+            continue
+        for text, out in zip(block, outs):
+            if not out.startswith("/"):
+                found.append((text, out, "missing-leading-slash"))
+            trailing = out.endswith("/")
+            if trailing and out != "/":
+                found.append((text, out, "trailing-slash"))
+            # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
+            closed = out if trailing else out + "/"
+            for bad in ("//", "/./", "/../"):
+                if bad in closed:
+                    found.append((text, out, bad))
     return count, found
 
 
@@ -256,9 +280,9 @@ def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
     def scan(strings: Iterator[str]) -> Tuple[int, list]:
         hits = []
         count = 0
-        for count, text in enumerate(strings, 1):
-            if _canonical_text(text) == target:
-                hits.append(text)
+        for block in _blocks(strings):
+            count += len(block)
+            hits += compress(block, map(target.__eq__, map(_canonical_text, block)))
         return count, hits
 
     hits = _sharded(spec, scan)

@@ -2,9 +2,11 @@ import copy
 import gc
 import io
 import itertools
+import operator
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pathguard import (
     CanonicalPath,
@@ -20,7 +22,7 @@ from pathguard import (
     sanitize,
     validate_raw,
 )
-from pathguard.model import MAX_PATH_LEN, _checked
+from pathguard.model import MAX_PATH_LEN, _all_canonical, _checked
 
 
 class TestValidateRaw:
@@ -87,6 +89,53 @@ class TestCanonicalPath:
         for text in strings:
             fix = canonicalize(validate_raw(text)) == text
             assert is_canonical_text(text) == fix, text
+
+
+class TestAllCanonical:
+    """The bulk check equals ``all(map(is_canonical_text, texts))``."""
+
+    # Every string over "/.a" up to length 4: 121 texts.
+    TEXTS = [
+        "".join(chars)
+        for length in range(5)
+        for chars in itertools.product("/.a", repeat=length)
+    ]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equals_the_reference_on_every_short_list(self, k):
+        # Every list of k texts: 1,771,561 lists at k = 3.
+        flags = list(map(is_canonical_text, self.TEXTS))
+        got = map(_all_canonical, map(list, itertools.product(self.TEXTS, repeat=k)))
+        want = map(all, itertools.product(flags, repeat=k))
+        wrong = itertools.compress(
+            itertools.product(self.TEXTS, repeat=k), map(operator.ne, got, want)
+        )
+        assert list(itertools.islice(wrong, 5)) == []
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [],
+            [""],
+            ["/", ""],
+            ["/", "/", "/a"],
+            ["/a", "/", "/", "/"],
+            ["/a", "/", "//"],
+            ["/\x00"],
+            ["/a", "\x00/"],
+            ["a\x00/b"],
+            ["/a\x00", "/b"],
+        ],
+    )
+    def test_empty_texts_adjacent_roots_and_nul(self, texts):
+        # A non-overlapping count of a framed root such as "\0//\0" misses
+        # the second of two adjacent roots; a NUL in a text would look like
+        # a frame's edge.
+        assert _all_canonical(texts) == all(map(is_canonical_text, texts))
+
+    @given(st.lists(st.text() | st.text(alphabet="/.a\x00", max_size=6)))
+    def test_equals_the_reference_on_arbitrary_text(self, texts):
+        assert _all_canonical(texts) == all(map(is_canonical_text, texts))
 
 
 class TestWhitelist:

@@ -288,6 +288,67 @@ class TestSharding:
         for lo, hi in zip(cuts, cuts[1:]):
             assert any(lo <= r < hi for r in ranks)
 
+    # 21,845 strings: for n up to 4, each shard holds more than one block
+    # of 4,096 and ends in a partial one.
+    BLOCK_SPEC = EnumerationSpec(alphabet="/.ab", max_len=7)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_faults_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
+        # The residue sweep checks a block of outputs at once and walks only
+        # a failing block string by string. Faults planted at each shard's
+        # first rank, at its block edge (ranks 4,095 and 4,096 within the
+        # shard) and in its last, partial block must come out exactly as a
+        # walk of every string reports them, in shortlex order.
+        spec = self.BLOCK_SPEC
+        strings = list(_strings(spec))
+        cuts = _cuts(len(strings), n)
+        faults = [
+            lambda out: out + "/",
+            lambda out: "x" + out,
+            lambda out: out + "/.",
+            lambda out: out + "/..",
+        ]
+        planted = {}
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert lo + 4096 < hi - 1 and (hi - lo) % 4096
+            for rank, fault in zip((lo, lo + 4095, lo + 4096, hi - 1), faults):
+                text = strings[rank]
+                planted[text] = fault(_canonical_text(text))
+
+        def faulty(text):
+            return planted.get(text) or _canonical_text(text)
+
+        want = []
+        for text in strings:
+            out = faulty(text)
+            if not out.startswith("/"):
+                want.append((text, out, "missing-leading-slash"))
+            if out != "/" and out.endswith("/"):
+                want.append((text, out, "trailing-slash"))
+            closed = out if out.endswith("/") else out + "/"
+            want += [(text, out, bad) for bad in ("//", "/./", "/../") if bad in closed]
+        assert {found[0] for found in want} == set(planted)
+
+        monkeypatch.setattr(verifier_module, "_canonical_text", faulty)
+        _cpus(monkeypatch, n)
+        found = verify_no_residue(spec)
+        assert [(v.input, v.output, v.offending) for v in found] == want
+
+    def test_a_clean_block_is_not_walked(self, monkeypatch):
+        # Every block of a clean sweep passes the bulk check, so no string of
+        # it reaches the per-string findings code.
+        check = verifier_module._all_canonical
+        passed = []
+
+        def all_canonical(texts):
+            passed.append(check(texts))
+            return passed[-1]
+
+        monkeypatch.setattr(verifier_module, "_all_canonical", all_canonical)
+        _cpus(monkeypatch, 1)
+        assert verify_no_residue(self.BLOCK_SPEC) == []
+        assert passed == [True] * 6
+
     # Over "/.a" up to length 3 (40 strings), the preimages of "/a" are, in
     # shortlex order: "a", "/a", "a/", "//a", "/a/", "./a", "a//" and "a/.".
     # "./a" has rank 24, so it lies in a child's range for n = 2, 3 and 4.
