@@ -112,7 +112,7 @@ def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     """True iff the canonical text of ``raw`` is a whitelist entry."""
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    return _canonical_text(raw) in whitelist.entries
+    return _canonical_text(raw) in whitelist
 
 
 def load_whitelist(

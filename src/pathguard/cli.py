@@ -203,14 +203,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         root = None if args.root is None else CanonicalPath(args.root)
         with _open_lines(args.whitelist) as fh:
-            entries = load_whitelist(
+            whitelist = load_whitelist(
                 fh, canonicalize_entries=args.canonicalize_entries
-            ).entries
+            )
     except (OSError, PathError, ValueError) as exc:
         return _fail(str(exc))
 
     def decide(canonical: str) -> Tuple[str, bool]:
-        if canonical in entries:
+        if canonical in whitelist:
             return "ALLOW " + canonical + "\n", False
         return "DENY " + canonical + "\n", True
 

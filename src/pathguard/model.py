@@ -10,10 +10,10 @@ Behind it, everything works on plain ``str`` that has passed the NUL and
 length rule: :func:`validate_raw` for callers, :func:`_checked` for internal
 ones. Both types are ``str`` subclasses with no instance attributes, so
 hashing and equality run as plain string operations. ``.text`` is kept for
-compatibility and returns the plain ``str``. A :class:`Whitelist` holds
-plain ``str`` entries, and comparing one with a canonical path is safe:
-every entry is a fixpoint of canonicalization, so string equality can
-never turn a deny into an allow.
+compatibility and returns the plain ``str``. A :class:`Whitelist` is a
+``frozenset`` of plain ``str``, and testing a canonical path against it
+is safe: every entry is a fixpoint of canonicalization, so string
+equality can never turn a deny into an allow.
 """
 
 from __future__ import annotations
@@ -213,21 +213,15 @@ def _read_paths(
     return paths
 
 
-class Whitelist:
-    """A deduplicated set of canonical paths, held as a ``frozenset`` of
-    plain ``str``. Default-deny. Read-only, with no value equality: it
-    compares and hashes by identity, and a copy or an unpickled one raises
-    AttributeError. A slot, not a tuple field: 3.11 specializes a slot
-    read, and every decision reads ``entries``."""
+class Whitelist(frozenset):
+    """A deduplicated set of canonical paths: a ``frozenset`` of plain
+    ``str``, so a lookup is a membership test on the whitelist itself.
+    Default-deny and read-only; it compares, copies and pickles as a
+    frozenset does, and a copy is still a Whitelist."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries: Iterable[str] = frozenset()) -> None:
-        # A set or a list would leave the entries mutable, or make each
-        # lookup a scan. frozenset returns a frozenset argument itself.
-        object.__setattr__(self, "entries", frozenset(entries))
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot change Whitelist.{name}")
-
-    __delattr__ = __setattr__  # called without a value
+    @property
+    def entries(self) -> Whitelist:
+        """The whitelist itself, kept for readers of the older wrapper."""
+        return self

@@ -14,26 +14,29 @@ limit is fixed: no flag or argument raises it. Over the default "/.abc",
 ``max_len`` 8 (488,281 strings) runs and 9 (2,441,406) is refused.
 
 One enumerator, ``_strings``, walks the shortlex order and yields any
-contiguous range of its ranks. The two sweeps cut the ranks into one range
-per CPU in the process's affinity mask, whose sizes differ by at most one
-string. The caller runs the first range, the smallest, itself (so a
-one-CPU mask forks nothing) and forks a child for each other range, takes
-each child's findings back over a pipe with :mod:`marshal`, and
-concatenates them in range order, which is shortlex order: the result,
-its order, and the first divergence reported are the same whatever the
-CPU count. A shard runs only the pure-Python checks and ends in
-``os._exit``, so it never runs the caller's exit handlers or flushes its
-buffers.
+contiguous range of its ranks. A sweep is a check of one block: a function
+from a list of strings to that list's findings, in its order. ``_sharded``
+cuts the ranks into one range per CPU in the process's affinity mask,
+whose sizes differ by at most one string. The caller runs the first range,
+the smallest, itself (so a one-CPU mask forks nothing) and forks a child
+for each other range, takes each child's findings back over a pipe with
+:mod:`marshal`, and concatenates them in range order, which is shortlex
+order: the result, its order, and the first divergence reported are the
+same whatever the CPU count. A shard runs only the pure-Python checks and
+ends in ``os._exit``, so it never runs the caller's exit handlers or
+flushes its buffers.
 
-Each range is taken ``_BLOCK`` (4,096) strings at a time, a fixed size.
-The residue sweep maps a block through ``_canonical_text`` and tests all
-of its outputs at once with ``model._all_canonical``, a fixed number of
-C-level passes over one joined string. A string has no residue finding
-exactly when its output is canonical, so a clean block runs no per-string
-Python code; only a block that fails the test is walked string by string
-to name its findings. The preimage sweep keeps a block's hits with
-``itertools.compress``. Either way the findings, and their order, are
-those of a walk of one string at a time.
+One runner, in the caller and in each child alike, hands its range to the
+check ``_BLOCK`` (4,096) strings at a time, a fixed size, and counts the
+strings it hands out; ``_sharded`` raises unless the counts add up to the
+whole space. The residue check maps a block through ``_canonical_text``
+and tests all of its outputs at once with ``model._all_canonical``, a
+fixed number of C-level passes over one joined string. A string has no
+residue finding exactly when its output is canonical, so a clean block
+runs no per-string Python code; only a block that fails the test is
+walked string by string to name its findings. The preimage check keeps a
+block's hits with ``itertools.compress``. Either way the findings, and
+their order, are those of a walk of one string at a time.
 """
 
 from __future__ import annotations
@@ -104,10 +107,11 @@ def _checked_count(spec: EnumerationSpec) -> int:
 
 
 # Aliases for annotations only, so they cost nothing at import.
-# Scan: checks a range's strings and returns (visited, findings in order).
+# Check: returns a block's findings, in the block's order.
+# ShardResult: the strings a range handed to its check, and their findings.
 if TYPE_CHECKING:
+    Check = Callable[[List[str]], list]
     ShardResult = Tuple[int, list]
-    Scan = Callable[[Iterator[str]], ShardResult]
 
 # SIGKILL, which POSIX fixes at 9; importing the signal module for the name
 # would add more than a millisecond to every ``import pathguard``.
@@ -148,8 +152,19 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _fork_shard(scan: Scan, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
-    """Start a child that scans the strings; returns its pid and result pipe."""
+def _run(check: Check, strings: Iterator[str]) -> ShardResult:
+    """Hand ``strings`` to ``check`` ``_BLOCK`` at a time. Returns how many
+    strings it handed out, and the findings concatenated in order."""
+    visited, findings = 0, []
+    while block := list(islice(strings, _BLOCK)):
+        visited += len(block)
+        findings += check(block)
+    return visited, findings
+
+
+def _fork_shard(check: Check, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
+    """Start a child that runs the check over the strings; returns its pid
+    and result pipe."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -161,7 +176,7 @@ def _fork_shard(scan: Scan, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(rfd)
-            data = marshal.dumps(scan(strings))
+            data = marshal.dumps(_run(check, strings))
             with open(wfd, "wb") as out:
                 out.write(data)
             status = 0
@@ -188,9 +203,9 @@ def _reap(pid: int, data: bytes) -> ShardResult:
     return marshal.loads(data)
 
 
-def _sharded(spec: EnumerationSpec, scan: Scan) -> list:
-    """Run ``scan`` over every string, one rank range per CPU this process
-    may use.
+def _sharded(spec: EnumerationSpec, check: Check) -> list:
+    """Run ``check`` over every string, one rank range per CPU this process
+    may use, each range ``_BLOCK`` strings at a time.
 
     Returns the findings of all ranges, concatenated in shortlex order.
 
@@ -207,10 +222,10 @@ def _sharded(spec: EnumerationSpec, scan: Scan) -> list:
     children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_shard(scan, _strings(spec, lo, hi)))
+            children.append(_fork_shard(check, _strings(spec, lo, hi)))
         # The caller also forks and merges, so it runs the first range,
         # which is the smallest.
-        results.append(scan(_strings(spec, 0, cuts[1])))
+        results.append(_run(check, _strings(spec, 0, cuts[1])))
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -228,34 +243,25 @@ def _sharded(spec: EnumerationSpec, scan: Scan) -> list:
     return [found for _, findings in results for found in findings]
 
 
-def _blocks(strings: Iterator[str]) -> Iterator[List[str]]:
-    """``strings`` in lists of ``_BLOCK``, the last one shorter."""
-    while block := list(islice(strings, _BLOCK)):
-        yield block
-
-
-def _residue_scan(strings: Iterator[str]) -> Tuple[int, list]:
+def _residue_check(block: List[str]) -> list:
     # A string has no finding exactly when its output is canonical, so only
     # a block whose outputs are not all canonical is walked string by string.
+    outs = list(map(_canonical_text, block))
+    if _all_canonical(outs):
+        return []
     found = []
-    count = 0
-    for block in _blocks(strings):
-        count += len(block)
-        outs = list(map(_canonical_text, block))
-        if _all_canonical(outs):
-            continue
-        for text, out in zip(block, outs):
-            if not out.startswith("/"):
-                found.append((text, out, "missing-leading-slash"))
-            trailing = out.endswith("/")
-            if trailing and out != "/":
-                found.append((text, out, "trailing-slash"))
-            # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
-            closed = out if trailing else out + "/"
-            for bad in ("//", "/./", "/../"):
-                if bad in closed:
-                    found.append((text, out, bad))
-    return count, found
+    for text, out in zip(block, outs):
+        if not out.startswith("/"):
+            found.append((text, out, "missing-leading-slash"))
+        trailing = out.endswith("/")
+        if trailing and out != "/":
+            found.append((text, out, "trailing-slash"))
+        # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
+        closed = out if trailing else out + "/"
+        for bad in ("//", "/./", "/../"):
+            if bad in closed:
+                found.append((text, out, bad))
+    return found
 
 
 def verify_no_residue(spec: EnumerationSpec) -> List[ResidueViolation]:
@@ -265,7 +271,7 @@ def verify_no_residue(spec: EnumerationSpec) -> List[ResidueViolation]:
     "//", "/./", "/../", a last "/." or "/.." (reported as "/./", "/../"),
     a missing leading "/", or a non-root trailing "/".
     """
-    return [ResidueViolation(*found) for found in _sharded(spec, _residue_scan)]
+    return [ResidueViolation(*found) for found in _sharded(spec, _residue_check)]
 
 
 def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
@@ -277,15 +283,10 @@ def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
     AssertionError: one of the two implementations is broken.
     """
 
-    def scan(strings: Iterator[str]) -> Tuple[int, list]:
-        hits = []
-        count = 0
-        for block in _blocks(strings):
-            count += len(block)
-            hits += compress(block, map(target.__eq__, map(_canonical_text, block)))
-        return count, hits
+    def check(block: List[str]) -> list:
+        return list(compress(block, map(target.__eq__, map(_canonical_text, block))))
 
-    hits = _sharded(spec, scan)
+    hits = _sharded(spec, check)
     for text in hits:
         if rewrite_canonicalize(_new(RawPathString, text)) != target:
             raise AssertionError(

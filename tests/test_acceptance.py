@@ -51,18 +51,9 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _scan(fails):
-    """A verifier scan: the count of strings it saw and those on which
-    ``fails`` is true."""
-
-    def scan(strings):
-        checked, failing = 0, []
-        for checked, text in enumerate(strings, 1):
-            if fails(text):
-                failing.append(text)
-        return checked, failing
-
-    return scan
+def _check(fails):
+    """A verifier block check: the strings on which ``fails`` is true."""
+    return lambda block: list(filter(fails, block))
 
 
 def _oracle_disagrees(text):
@@ -84,7 +75,7 @@ def test_criterion_1_oracle_equivalence():
     started = time.monotonic()
     spec = EnumerationSpec(alphabet="/.ab", max_len=10)
     checked = total_count(spec)
-    mismatches = len(_sharded(spec, _scan(_oracle_disagrees)))
+    mismatches = len(_sharded(spec, _check(_oracle_disagrees)))
     elapsed = time.monotonic() - started
     report(
         "criterion 1 (oracle equivalence)",
@@ -171,7 +162,7 @@ def test_criterion_5a_length_monotonicity():
     # "/" + every string over "/.ab" up to length 9, sharded as criterion 1.
     spec = EnumerationSpec(alphabet="/.ab", max_len=9)
     checked = total_count(spec)
-    exceptions = len(_sharded(spec, _scan(_lengthens)))
+    exceptions = len(_sharded(spec, _check(_lengthens)))
     report(
         "criterion 5a (length monotonicity, absolute inputs)",
         checked == 349_525 and exceptions == 0,
@@ -182,7 +173,7 @@ def test_criterion_5a_length_monotonicity():
 def test_criterion_5b_trace_invariant():
     spec = EnumerationSpec(alphabet="/.ab", max_len=8)
     checked = total_count(spec)
-    broken = _scan(lambda text: not trace_invariant_holds(text))
+    broken = _check(lambda text: not trace_invariant_holds(text))
     failures = len(_sharded(spec, broken))
     report(
         "criterion 5b (trace invariant)",

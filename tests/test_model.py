@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from pathguard import (
     CanonicalPath,
     EmbeddedNul,
+    EnumerationSpec,
     NonCanonicalEntry,
     PathError,
     PathTooLong,
@@ -20,9 +21,11 @@ from pathguard import (
     is_canonical_text,
     load_whitelist,
     sanitize,
+    total_count,
     validate_raw,
 )
 from pathguard.model import MAX_PATH_LEN, _all_canonical, _checked
+from pathguard.verifier import _sharded
 
 
 class TestValidateRaw:
@@ -91,26 +94,39 @@ class TestCanonicalPath:
             assert is_canonical_text(text) == fix, text
 
 
+# Every string over "/.a" up to length 4: 121 texts, each named by a
+# one-character code. The codes form a verifier alphabet, so a string of
+# codes up to length 3 is a list of up to three texts.
+TEXTS = [
+    "".join(chars)
+    for length in range(5)
+    for chars in itertools.product("/.a", repeat=length)
+]
+CODES = "/." + "".join(chr(0x100 + i) for i in range(len(TEXTS) - 2))
+TEXT = dict(zip(CODES, TEXTS))
+FLAG = dict(zip(CODES, map(is_canonical_text, TEXTS)))
+
+
+def _all_canonical_wrong(block):
+    """A verifier block check: the lists of texts, as code strings, on which
+    the bulk check differs from the reference. C-level passes only."""
+    texts = map(map, itertools.repeat(TEXT.__getitem__), block)
+    flags = map(map, itertools.repeat(FLAG.__getitem__), block)
+    got = map(_all_canonical, map(list, texts))
+    want = map(all, flags)
+    return list(itertools.compress(block, map(operator.ne, got, want)))
+
+
 class TestAllCanonical:
     """The bulk check equals ``all(map(is_canonical_text, texts))``."""
 
-    # Every string over "/.a" up to length 4: 121 texts.
-    TEXTS = [
-        "".join(chars)
-        for length in range(5)
-        for chars in itertools.product("/.a", repeat=length)
-    ]
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_equals_the_reference_on_every_short_list(self, k):
-        # Every list of k texts: 1,771,561 lists at k = 3.
-        flags = list(map(is_canonical_text, self.TEXTS))
-        got = map(_all_canonical, map(list, itertools.product(self.TEXTS, repeat=k)))
-        want = map(all, itertools.product(flags, repeat=k))
-        wrong = itertools.compress(
-            itertools.product(self.TEXTS, repeat=k), map(operator.ne, got, want)
-        )
-        assert list(itertools.islice(wrong, 5)) == []
+    def test_equals_the_reference_on_every_list_of_up_to_three(self):
+        # 1,786,324 lists, sharded over the CPUs as the verifier's sweeps
+        # are; _sharded raises unless every one of them was checked.
+        spec = EnumerationSpec(CODES, 3)
+        assert total_count(spec) == 1_786_324
+        wrong = _sharded(spec, _all_canonical_wrong)
+        assert [[TEXT[code] for code in codes] for codes in wrong[:5]] == []
 
     @pytest.mark.parametrize(
         "texts",
@@ -318,12 +334,9 @@ class TestWhitelistValue:
         # Frozen, so the entries can neither be changed after the load nor
         # make a lookup a scan.
         w = Whitelist(make(["/a", "/b"]))
-        assert type(w.entries) is frozenset
-        assert w.entries == {"/a", "/b"}
-
-    def test_frozenset_is_kept_as_is(self):
-        entries = frozenset({"/a"})
-        assert Whitelist(entries).entries is entries
+        assert isinstance(w, frozenset)
+        assert w.entries is w
+        assert w == {"/a", "/b"}
 
     def test_set_changed_after_construction_changes_no_decision(self):
         entries = {"/a"}
@@ -332,15 +345,25 @@ class TestWhitelistValue:
         assert sanitize(validate_raw("/etc/passwd"), w) is False
         assert sanitize(validate_raw("/a"), w) is True
 
-    def test_no_value_equality_copy_or_pickle(self):
+    def test_loaded_whitelist_is_the_frozenset(self):
         w = load_whitelist("/a\n")
-        assert w == w and w != load_whitelist("/a\n")
-        with pytest.raises(AttributeError):
-            copy.copy(w)
-        with pytest.raises(AttributeError):
-            copy.deepcopy(w)
-        with pytest.raises(AttributeError):
-            pickle.loads(pickle.dumps(w))
+        assert isinstance(w, frozenset)
+        assert w == {"/a"}
+        assert w.entries is w
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copy_is_still_a_whitelist(self, clone):
+        # .entries is read by existing callers, so a copy must keep it.
+        w = clone(load_whitelist("/a\n"))
+        assert type(w) is Whitelist
+        assert w.entries is w
+        assert w == {"/a"}
+        assert sanitize(validate_raw("/a"), w) is True
+        assert sanitize(validate_raw("/b"), w) is False
 
 
 class TestWhitelistContains:

@@ -219,14 +219,10 @@ class TestSharding:
         sizes = [len(strings) for strings in ranges]
         assert max(sizes) - min(sizes) <= 1
         # The sweeps cut the same ranges and concatenate their findings in
-        # order: a scan whose one finding is the list of strings it saw
-        # returns the ranges.
-        def scan(strings):
-            seen = list(strings)
-            return len(seen), [seen]
-
+        # order. A range of at most 364 strings is one block, so a check
+        # whose one finding is its block returns the ranges.
         _cpus(monkeypatch, n)
-        assert _sharded(spec, scan) == ranges
+        assert _sharded(spec, lambda block: [block]) == ranges
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_caller_runs_the_first_and_smallest_range(self, monkeypatch, n):
@@ -238,20 +234,19 @@ class TestSharding:
         caller, forked = [], []
         fork_shard = verifier_module._fork_shard
 
-        def fork(scan, strings):
+        def fork(check, strings):
             forked.append(strings)
-            return fork_shard(scan, strings)
+            return fork_shard(check, strings)
 
-        def scan(strings):
-            seen = list(strings)
-            caller.append(seen)
-            return len(seen), []
+        def check(block):
+            caller.extend(block)
+            return []
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
         _cpus(monkeypatch, n)
-        assert _sharded(spec, scan) == []
+        assert _sharded(spec, check) == []
         assert len(forked) == n - 1
-        assert caller == [list(_strings(spec, 0, count // n))]
+        assert caller == list(_strings(spec, 0, count // n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_preimages_independent_of_cpu_count(self, monkeypatch, n):
@@ -410,6 +405,22 @@ class TestSharding:
         _cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="status 7"):
             verify_no_residue(self.SPEC)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_range_one_string_short_raises_runtime_error(self, monkeypatch, n):
+        # The last range, a child's when n is 2, yields one string fewer;
+        # the count its runner sends back must give it away.
+        count = total_count(self.SPEC)
+        strings = verifier_module._strings
+
+        def short(spec, start, stop):
+            return strings(spec, start, stop - 1 if stop == count else stop)
+
+        monkeypatch.setattr(verifier_module, "_strings", short)
+        _cpus(monkeypatch, n)
+        with pytest.raises(RuntimeError) as err:
+            verify_no_residue(self.SPEC)
+        assert str(err.value) == f"shards visited {count - 1} of {count} strings"
 
     @staticmethod
     def _forbid_fork(monkeypatch):
