@@ -18,10 +18,12 @@ import argparse
 import io
 import sys
 import time
+from itertools import count, islice
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_text, load_whitelist, underflows
+from .model import MAX_PATH_LEN
 from .model import CanonicalPath, PathError, RawPathString, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
@@ -35,9 +37,9 @@ EXIT_OK = 0
 EXIT_DENIED = 1
 EXIT_USAGE = 2
 
-# canon and check write their answers this many lines at a time: often
-# enough that the first answers arrive while the batch is still being read,
-# seldom enough that an unbuffered stdout does not pay a write per line.
+# canon and check answer this many input lines at a time: often enough
+# that the first answers arrive while the batch is still being read, seldom
+# enough that the bulk check and a write to stdout are paid once a block.
 BLOCK_LINES = 1024
 
 
@@ -118,12 +120,12 @@ def _byte_exact(stream: TextIO) -> TextIO:
 
 
 def _input_paths(args: argparse.Namespace) -> Iterable[str]:
-    """The input lines, read lazily from stdin with ``--stdin``."""
+    """The input lines: stdin, read lazily and with its line endings, with
+    ``--stdin``; else the one path argument."""
     if args.stdin:
         if args.path is not None:
             raise PathError("--stdin and a path argument are mutually exclusive")
-        lines = _byte_exact(sys.stdin)
-        return (line.rstrip("\n").rstrip("\r") for line in lines)
+        return _byte_exact(sys.stdin)
     if args.path is None:
         raise PathError("a path argument is required (or use --stdin)")
     return [args.path]
@@ -131,55 +133,67 @@ def _input_paths(args: argparse.Namespace) -> Iterable[str]:
 
 def _answer_lines(
     args: argparse.Namespace,
+    lines: Iterable[str],
     root: Optional[CanonicalPath],
-    answer: Callable[[str], Tuple[str, bool]],
+    answer: Callable[[List[str]], Tuple[str, bool]],
 ) -> int:
-    """Write ``answer(canonical text)`` for every input line, BLOCK_LINES
-    at a time.
+    """Write ``answer(canonical texts)``, a block's output and whether it
+    denied a path, for ``lines``, BLOCK_LINES at a time.
 
-    A line is checked, put under ``root`` if there is one, and
-    canonicalized, all as plain text. ``answer`` returns the output line
-    and whether the path was denied. A line that fails its checks is
-    reported on stderr with its line number, gets no output, and the batch
-    carries on. With ``--strict-underflow``, the ".." parts ignored at the
-    root are counted by :func:`underflows` and reported on stderr with the
-    line as sent. Exit 2 if any line failed, else 1 if any line was denied,
-    else 0.
+    A block's lines are put under ``root`` if there is one, held to the NUL
+    and length rule in one check over the jailed paths (each holds its
+    line), and canonicalized in one ``map``. A block that fails the check,
+    and every block under ``--strict-underflow``, is walked line by line:
+    a failing line is reported on stderr with its number and gets no
+    output, and the ".." parts ignored at the root (:func:`underflows`) are
+    reported with the line as sent. Exit 2 if any line failed or stdin
+    could not be read, else 1 if any path was denied, else 0.
     """
-    write = sys.stdout.write
-    strict = args.strict_underflow
-    block: List[str] = []
     failed = denied = False
-    try:
-        for number, text in enumerate(_input_paths(args), start=1):
-            try:
-                path = _checked(text)
-                if root is not None:
-                    path = _checked(root + "/" + path, "jailed path")
-            except PathError as exc:
-                _fail(f"line {number}: {exc}" if args.stdin else str(exc))
-                failed = True
-                continue
-            if strict:
-                ignored = underflows(_new(RawPathString, path))
-                if ignored:
-                    warning = (
-                        f"{ignored} parent reference(s) ignored at the root"
-                        f" in {text!r}"
+    error: Optional[ValueError] = None
+    for first in count(1, BLOCK_LINES):
+        block: List[str] = []
+        try:
+            block.extend(islice(lines, BLOCK_LINES))  # keeps what it read
+        except ValueError as exc:  # unreadable stdin
+            error = exc
+        if args.stdin:
+            block = [line.rstrip("\n").rstrip("\r") for line in block]
+        paths = block if root is None else [root + "/" + line for line in block]
+        if (
+            not args.strict_underflow
+            and "\x00" not in "".join(paths)
+            and max(map(len, paths), default=0) <= MAX_PATH_LEN
+        ):
+            texts = list(map(_canonical_text, paths))
+        else:
+            texts = []
+            for number, (text, path) in enumerate(zip(block, paths), first):
+                where = f"line {number}: " if args.stdin else ""
+                try:
+                    _checked(text)
+                    if root is not None:
+                        _checked(path, "jailed path")
+                except PathError as exc:
+                    _fail(f"{where}{exc}")
+                    failed = True
+                    continue
+                if args.strict_underflow and (
+                    ignored := underflows(_new(RawPathString, path))
+                ):
+                    print(
+                        f"pathguard: {where}{ignored} parent reference(s) ignored"
+                        f" at the root in {text!r}",
+                        file=sys.stderr,
                     )
-                    if args.stdin:
-                        warning = f"line {number}: {warning}"
-                    print(f"pathguard: {warning}", file=sys.stderr)
-            line, deny = answer(_canonical_text(path))
-            block.append(line)
-            denied = denied or deny
-            if len(block) == BLOCK_LINES:
-                write("".join(block))
-                block.clear()
-    except (PathError, ValueError) as exc:  # no input, or unreadable stdin
-        _fail(str(exc))
-        failed = True
-    write("".join(block))
+                texts.append(_canonical_text(path))
+        out, deny = answer(texts) if texts else ("", False)
+        sys.stdout.write(out)
+        denied = denied or deny
+        if error is not None or len(block) < BLOCK_LINES:
+            break
+    if error is not None:
+        return _fail(str(error))
     if failed:
         return EXIT_USAGE
     return EXIT_DENIED if denied else EXIT_OK
@@ -188,9 +202,10 @@ def _answer_lines(
 def _cmd_canon(args: argparse.Namespace) -> int:
     try:
         root = None if args.root is None else CanonicalPath(args.root)
+        lines = _input_paths(args)
     except ValueError as exc:
         return _fail(str(exc))
-    return _answer_lines(args, root, lambda text: (text + "\n", False))
+    return _answer_lines(args, lines, root, lambda t: ("\n".join(t) + "\n", False))
 
 
 def _open_lines(path: str) -> TextIO:
@@ -206,15 +221,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
             whitelist = load_whitelist(
                 fh, canonicalize_entries=args.canonicalize_entries
             )
+        lines = _input_paths(args)
     except (OSError, PathError, ValueError) as exc:
         return _fail(str(exc))
 
-    def decide(canonical: str) -> Tuple[str, bool]:
-        if canonical in whitelist:
-            return "ALLOW " + canonical + "\n", False
-        return "DENY " + canonical + "\n", True
+    def decide(texts: List[str]) -> Tuple[str, bool]:
+        answers = [("ALLOW " if t in whitelist else "DENY ") + t for t in texts]
+        return "\n".join(answers) + "\n", not whitelist.issuperset(texts)
 
-    return _answer_lines(args, root, decide)
+    return _answer_lines(args, lines, root, decide)
 
 
 def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) -> None:

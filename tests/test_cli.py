@@ -342,6 +342,114 @@ class TestStdinStream:
         assert (code, err) == (want_code, "")
         assert out == "".join(want)
 
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_read_error_keeps_the_lines_before_it(
+        self, capsys, monkeypatch, whitelist_file, command
+    ):
+        # stdin fails inside the second block: the 1,500 lines read before
+        # it are answered, and the failure is reported and exits 2.
+        lines = batch_lines(1_500)
+
+        def stdin():
+            yield from (line + "\n" for line in lines)
+            raise ValueError("stdin went away")
+
+        want = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
+        extra = []
+        if command == "check":
+            want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c for c in want]
+            extra = ["--whitelist", whitelist_file]
+        monkeypatch.setattr("sys.stdin", stdin())
+        code, out, err = run(capsys, command, "--stdin", *extra)
+        assert (code, err) == (2, "pathguard: stdin went away\n")
+        assert out == "".join(c + "\n" for c in want)
+
+
+# Lines at the edges of the first three blocks of a 2,500-line batch.
+BLOCK_EDGES = (1, BLOCK_LINES, BLOCK_LINES + 1, 2_500)
+
+
+def edge_batch(fault):
+    """2,500 lines of ``batch_lines``, ending in "\\n", "\\r\\n" or
+    "\\r\\r\\n" in turn, the last with no ending at all. ``fault`` is at
+    every line of BLOCK_EDGES, a line of exactly MAX_PATH_LEN characters
+    at line 700, and one that fills the limit once put under "/srv" at
+    line 1,800."""
+    lines = batch_lines(2_500)
+    for number in BLOCK_EDGES:
+        lines[number - 1] = fault
+    lines[699] = "x" * 4096
+    lines[1799] = "y" * (4096 - len("/srv/"))
+    endings = ("\n", "\r\n", "\r\r\n")
+    return "".join(t + endings[i % 3] for i, t in enumerate(lines[:-1])) + lines[-1]
+
+
+def line_by_line(command, text, root):
+    """The exit code, stdout and stderr of answering each line of ``text``
+    on its own with ``canonicalize(validate_raw(...))``."""
+    out, err = [], []
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        what = ""
+        try:
+            raw = validate_raw(line)
+            if root is not None:
+                what = "jailed "
+                raw = validate_raw(root + "/" + line)
+        except pathguard.PathError as exc:
+            err.append(f"pathguard: line {number}: {what}{exc}\n")
+            continue
+        canonical = canonicalize(raw).text
+        if command == "check":
+            canonical = ("ALLOW " if canonical == "/a/b/c" else "DENY ") + canonical
+        out.append(canonical + "\n")
+    denied = command == "check" and any(o.startswith("DENY") for o in out)
+    return 2 if err else int(denied), "".join(out), "".join(err)
+
+
+class TestBlockEdges:
+    """A failing line at a block edge takes its block through the line by
+    line walk; every other block is checked in bulk. Both must answer as
+    each line on its own would."""
+
+    @pytest.mark.parametrize("root", [None, "/srv"])
+    @pytest.mark.parametrize("fault", ["/a\x00b", "z" * 4097], ids=["nul", "long"])
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_faults_at_block_edges(
+        self, capsys, monkeypatch, whitelist_file, command, fault, root
+    ):
+        text = edge_batch(fault)
+        assert text.count("\n") == 2_499 and not text.endswith("\n")
+        extra = ["--whitelist", whitelist_file] if command == "check" else []
+        if root is not None:
+            extra += ["--root", root]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, command, "--stdin", *extra)
+        want_code, want_out, want_err = line_by_line(command, text, root)
+        assert err == want_err
+        assert out == want_out
+        assert code == want_code == 2
+        # The limit itself is accepted; under the root the same line fails.
+        failing = {int(e.split()[2][:-1]) for e in err.splitlines()}
+        assert failing == set(BLOCK_EDGES) | ({700} if root else set())
+
+    @pytest.mark.parametrize("root", [None, "/srv"])
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_jailed_overflow_alone_in_its_block(
+        self, capsys, monkeypatch, whitelist_file, command, root
+    ):
+        # No fault at the edges: without a root every block passes the bulk
+        # check; under "/srv", line 700 alone overflows once jailed.
+        text = edge_batch("../a/./b/")
+        extra = ["--whitelist", whitelist_file] if command == "check" else []
+        if root is not None:
+            extra += ["--root", root]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, command, "--stdin", *extra)
+        assert (code, out, err) == line_by_line(command, text, root)
+        jailed = "pathguard: line 700: jailed path length 4101 exceeds limit 4096\n"
+        assert err == ("" if root is None else jailed)
+
 
 class TestByteExact:
     """One set of bytes gets one set of answer bytes, whatever the locale.
