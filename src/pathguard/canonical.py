@@ -99,7 +99,8 @@ def canonicalize_traced(
     and one snapshot per part: the stack's names, bottom to top. The
     snapshots exist so the loop invariant (each intermediate stack is a
     prefix of the final path, or its excess entries are later popped) can
-    be tested on the walk that decides.
+    be tested on the walk. Decisions take their text from
+    :func:`_canonical_text`; the walk is the reference it is pinned to.
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")

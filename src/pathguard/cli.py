@@ -23,8 +23,7 @@ from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_text, load_whitelist, underflows
-from .model import MAX_PATH_LEN
-from .model import CanonicalPath, PathError, RawPathString, _checked, _new
+from .model import CanonicalPath, PathError, RawPathString, _all_checked, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
     EnumerationSpec,
@@ -142,12 +141,12 @@ def _answer_lines(
 
     A block's lines are put under ``root`` if there is one, held to the NUL
     and length rule in one check over the jailed paths (each holds its
-    line), and canonicalized in one ``map``. A block that fails the check,
-    and every block under ``--strict-underflow``, is walked line by line:
-    a failing line is reported on stderr with its number and gets no
-    output, and the ".." parts ignored at the root (:func:`underflows`) are
-    reported with the line as sent. Exit 2 if any line failed or stdin
-    could not be read, else 1 if any path was denied, else 0.
+    line), and the paths kept are canonicalized in one ``map``. A block
+    that fails the check, and every block under ``--strict-underflow``, is
+    walked only to report and filter: it drops each failing line, naming it
+    on stderr by number, and reports the ".." parts ignored at the root
+    (:func:`underflows`) with the line as sent. Exit 2 if any line failed
+    or stdin could not be read, else 1 if any path was denied, else 0.
     """
     failed = denied = False
     error: Optional[ValueError] = None
@@ -160,14 +159,9 @@ def _answer_lines(
         if args.stdin:
             block = [line.rstrip("\n").rstrip("\r") for line in block]
         paths = block if root is None else [root + "/" + line for line in block]
-        if (
-            not args.strict_underflow
-            and "\x00" not in "".join(paths)
-            and max(map(len, paths), default=0) <= MAX_PATH_LEN
-        ):
-            texts = list(map(_canonical_text, paths))
-        else:
-            texts = []
+        kept = paths
+        if args.strict_underflow or not _all_checked(paths):
+            kept = []
             for number, (text, path) in enumerate(zip(block, paths), first):
                 where = f"line {number}: " if args.stdin else ""
                 try:
@@ -176,7 +170,6 @@ def _answer_lines(
                         _checked(path, "jailed path")
                 except PathError as exc:
                     _fail(f"{where}{exc}")
-                    failed = True
                     continue
                 if args.strict_underflow and (
                     ignored := underflows(_new(RawPathString, path))
@@ -186,7 +179,9 @@ def _answer_lines(
                         f" at the root in {text!r}",
                         file=sys.stderr,
                     )
-                texts.append(_canonical_text(path))
+                kept.append(path)
+            failed = failed or len(kept) < len(paths)
+        texts = list(map(_canonical_text, kept))
         out, deny = answer(texts) if texts else ("", False)
         sys.stdout.write(out)
         denied = denied or deny
@@ -222,7 +217,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 fh, canonicalize_entries=args.canonicalize_entries
             )
         lines = _input_paths(args)
-    except (OSError, PathError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
     def decide(texts: List[str]) -> Tuple[str, bool]:
@@ -260,7 +255,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             doc = {"mode": "preimages", "target": target, "preimages": found}
             doc["summary"] = {"visited": total_count(spec), "count": len(found)}
             lines = [*found, f"{len(found)} preimages of {target}"]
-    except (PathError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     _report(args, doc, lines, started)
     return EXIT_DENIED if args.target is None and found else EXIT_OK

@@ -93,6 +93,13 @@ def _checked(text: str, what: str = "path") -> str:
     return text
 
 
+def _all_checked(texts: List[str]) -> bool:
+    """True iff every text passes :func:`_checked`'s rule: one NUL search
+    over the texts joined and one length test, no Python call per text."""
+    longest = max(map(len, texts), default=0)
+    return "\x00" not in "".join(texts) and longest <= MAX_PATH_LEN
+
+
 def validate_raw(text: str) -> RawPathString:
     """Validate untrusted input and wrap it as a RawPathString.
 
@@ -198,11 +205,7 @@ def _read_paths(
         source = source.read()
     lines = source.split("\n") if isinstance(source, str) else list(source)
     paths = [p for line in lines if (p := line.strip(" \t\r\n")) and p[0] != "#"]
-    if (
-        "\x00" not in "".join(paths)
-        and max(map(len, paths), default=0) <= MAX_PATH_LEN
-        and (not canonical or _all_canonical(paths))
-    ):
+    if _all_checked(paths) and (not canonical or _all_canonical(paths)):
         return paths
     for line_number, line in enumerate(lines, start=1):
         path = line.strip(" \t\r\n")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import pathguard
-from pathguard import canonicalize, validate_raw
+from pathguard import canonicalize, underflows, validate_raw
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_text
 from pathguard.cli import BLOCK_LINES, main
@@ -384,10 +384,12 @@ def edge_batch(fault):
     return "".join(t + endings[i % 3] for i, t in enumerate(lines[:-1])) + lines[-1]
 
 
-def line_by_line(command, text, root):
+def line_by_line(command, text, root, strict=False):
     """The exit code, stdout and stderr of answering each line of ``text``
-    on its own with ``canonicalize(validate_raw(...))``."""
-    out, err = [], []
+    on its own with ``canonicalize(validate_raw(...))``. With ``strict``,
+    stderr also counts each kept line's ignored ".." (``underflows``), in
+    line order beside the error lines."""
+    out, err, failed = [], [], False
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         what = ""
@@ -398,45 +400,70 @@ def line_by_line(command, text, root):
                 raw = validate_raw(root + "/" + line)
         except pathguard.PathError as exc:
             err.append(f"pathguard: line {number}: {what}{exc}\n")
+            failed = True
             continue
+        if strict and (ignored := underflows(raw)):
+            err.append(
+                f"pathguard: line {number}: {ignored} parent reference(s) ignored"
+                f" at the root in {line!r}\n"
+            )
         canonical = canonicalize(raw).text
         if command == "check":
             canonical = ("ALLOW " if canonical == "/a/b/c" else "DENY ") + canonical
         out.append(canonical + "\n")
     denied = command == "check" and any(o.startswith("DENY") for o in out)
-    return 2 if err else int(denied), "".join(out), "".join(err)
+    return 2 if failed else int(denied), "".join(out), "".join(err)
+
+
+def line_errors(err):
+    """The lines of ``err`` that name a failing line, without the
+    ``--strict-underflow`` reports."""
+    return [e for e in err.splitlines(True) if "ignored at the root" not in e]
+
+
+# Each root, without and then with --strict-underflow.
+ROOTS_STRICT = pytest.mark.parametrize(
+    "root, strict",
+    [(None, False), ("/srv", False), (None, True), ("/srv", True)],
+    ids=["None", "/srv", "None-strict", "/srv-strict"],
+)
 
 
 class TestBlockEdges:
     """A failing line at a block edge takes its block through the line by
-    line walk; every other block is checked in bulk. Both must answer as
-    each line on its own would."""
+    line walk, as ``--strict-underflow`` takes every block; every other
+    block is checked in bulk. Both must answer as each line on its own
+    would."""
 
-    @pytest.mark.parametrize("root", [None, "/srv"])
+    @ROOTS_STRICT
     @pytest.mark.parametrize("fault", ["/a\x00b", "z" * 4097], ids=["nul", "long"])
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_faults_at_block_edges(
-        self, capsys, monkeypatch, whitelist_file, command, fault, root
+        self, capsys, monkeypatch, whitelist_file, command, fault, root, strict
     ):
         text = edge_batch(fault)
         assert text.count("\n") == 2_499 and not text.endswith("\n")
         extra = ["--whitelist", whitelist_file] if command == "check" else []
         if root is not None:
             extra += ["--root", root]
+        if strict:
+            extra.append("--strict-underflow")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = run(capsys, command, "--stdin", *extra)
-        want_code, want_out, want_err = line_by_line(command, text, root)
+        want_code, want_out, want_err = line_by_line(command, text, root, strict)
         assert err == want_err
         assert out == want_out
         assert code == want_code == 2
         # The limit itself is accepted; under the root the same line fails.
-        failing = {int(e.split()[2][:-1]) for e in err.splitlines()}
+        failing = {int(e.split()[2][:-1]) for e in line_errors(err)}
         assert failing == set(BLOCK_EDGES) | ({700} if root else set())
+        # Only the flag adds reports; err == want_err holds them in line order.
+        assert (len(line_errors(err)) < len(err.splitlines())) == strict
 
-    @pytest.mark.parametrize("root", [None, "/srv"])
+    @ROOTS_STRICT
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_jailed_overflow_alone_in_its_block(
-        self, capsys, monkeypatch, whitelist_file, command, root
+        self, capsys, monkeypatch, whitelist_file, command, root, strict
     ):
         # No fault at the edges: without a root every block passes the bulk
         # check; under "/srv", line 700 alone overflows once jailed.
@@ -444,11 +471,13 @@ class TestBlockEdges:
         extra = ["--whitelist", whitelist_file] if command == "check" else []
         if root is not None:
             extra += ["--root", root]
+        if strict:
+            extra.append("--strict-underflow")
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = run(capsys, command, "--stdin", *extra)
-        assert (code, out, err) == line_by_line(command, text, root)
+        assert (code, out, err) == line_by_line(command, text, root, strict)
         jailed = "pathguard: line 700: jailed path length 4101 exceeds limit 4096\n"
-        assert err == ("" if root is None else jailed)
+        assert line_errors(err) == ([] if root is None else [jailed])
 
 
 class TestByteExact:

@@ -24,8 +24,16 @@ from pathguard import (
     total_count,
     validate_raw,
 )
-from pathguard.model import MAX_PATH_LEN, _all_canonical, _checked
+from pathguard.model import MAX_PATH_LEN, _all_canonical, _all_checked, _checked
 from pathguard.verifier import _sharded
+
+
+def _passes_checked(text):
+    try:
+        _checked(text)
+    except PathError:
+        return False
+    return True
 
 
 class TestValidateRaw:
@@ -60,6 +68,10 @@ class TestValidateRaw:
                 assert str(err.value) == str(exc)
             else:
                 assert check(text) == want
+        # _all_checked is the rule's one bulk form: on no texts, on this one
+        # alone and on it among clean ones, it agrees with _checked on each.
+        for texts in ([], [text], ["/a", text, "/b"]):
+            assert _all_checked(texts) == all(map(_passes_checked, texts))
 
 
 class TestCanonicalPath:
