@@ -9,11 +9,12 @@ form is the canonical path. It is a purely lexical transformation: no
 filesystem access, no symlink resolution, and "/" is the only separator.
 
 Decisions take the same text from :func:`_canonical_text`, which runs
-posixpath's normpath core in C on 3.11+. The walk stays the reference: the
-test suite pins the two equal on every string over "/.ab" and "/.a" up to
-length 10 and on arbitrary text. The walk still computes the traced
-variant, which records the stack as a tuple after every non-empty part,
-and :func:`underflows`, the count of ".." parts ignored at the root.
+posixpath's normpath core in C on 3.11+, and :func:`underflows`, the count
+of ".." parts ignored at the root, takes the same normpath on the relative
+form. The walk stays the reference: the test suite pins the text and the
+count equal to the walk's on every string over "/.ab" and "/.a" up to
+length 10 and on arbitrary text. The walk computes only the traced
+variant, which records the stack as a tuple after every non-empty part.
 
 Each public function checks once, on entry, that its argument is a
 :class:`RawPathString`, and raises TypeError if not. The private functions
@@ -79,15 +80,18 @@ def canonicalize(raw: RawPathString) -> CanonicalPath:
 
 def underflows(raw: RawPathString) -> int:
     """The number of ".." parts in ``raw`` ignored at the root: the attack
-    signal, as the stack walk counts it. Without ".." in ``raw`` it is 0,
-    and the walk does not run.
+    signal. It is counted on ``raw`` made relative, because POSIX normpath
+    keeps ".." in a relative path only as a leading run, and that run is
+    exactly the parts the walk ignores at the root. Only "/" is stripped:
+    names such as ".x" and "..." also start with dots. Without ".." in
+    ``raw`` the count is 0, and normpath does not run.
 
     Raises:
         TypeError: ``raw`` is not a RawPathString.
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    return _walk(raw)[1] if ".." in raw else 0
+    return _normpath("./" + raw.lstrip("/")).split("/").count("..") if ".." in raw else 0
 
 
 def canonicalize_traced(

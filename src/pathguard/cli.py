@@ -143,10 +143,12 @@ def _answer_lines(
     and length rule in one check over the jailed paths (each holds its
     line), and the paths kept are canonicalized in one ``map``. A block
     that fails the check, and every block under ``--strict-underflow``, is
-    walked only to report and filter: it drops each failing line, naming it
-    on stderr by number, and reports the ".." parts ignored at the root
-    (:func:`underflows`) with the line as sent. Exit 2 if any line failed
-    or stdin could not be read, else 1 if any path was denied, else 0.
+    taken line by line only to report and filter: it drops each failing
+    line, naming it on stderr by number, and reports the ".." parts ignored
+    at the root with the line as sent, in line order. :func:`underflows`
+    counts them with the same normpath that computes the texts; the stack
+    walk does not run. Exit 2 if any line failed or stdin could not be
+    read, else 1 if any path was denied, else 0.
     """
     failed = denied = False
     error: Optional[ValueError] = None

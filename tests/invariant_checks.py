@@ -1,10 +1,44 @@
-"""Checkers and generators shared by the acceptance and property tests."""
+"""Checkers and generators shared by the acceptance, canonical and property
+tests.
+
+Run as a script, it is the fast-path gate without pytest, for Pythons that
+have only the stdlib:
+
+    PYTHONPATH=src python tests/invariant_checks.py
+
+It exits 1 if normpath's text or count differs from the stack walk's on any
+string of either space in FAST_PATH_SPACES.
+"""
 
 from __future__ import annotations
 
-from pathguard import RawPathString, canonicalize_traced
+import sys
+
+from pathguard import EnumerationSpec, RawPathString, canonicalize_traced, total_count
+from pathguard.canonical import _canonical_text, _walk, underflows
+from pathguard.model import _new
+from pathguard.verifier import _sharded
 
 FRESH_NAMES = ["zz", "q", "tmp0", "tmp1", "w"]
+
+# Each alphabet, with the number of strings over it up to length 10. The
+# "/.a" strings also lie in the "/.ab" space; that case is kept for its
+# own exact count.
+FAST_PATH_SPACES = (("/.ab", 1_398_101), ("/.a", 88_573))
+
+
+def fast_path_check(block):
+    """A verifier block check: the strings on which the fast path's text or
+    :func:`underflows` differs from the stack walk's, walked once each."""
+    found = []
+    for text in block:
+        stack, ignored = _walk(text)
+        if (
+            _canonical_text(text) != "/" + "/".join(stack)
+            or underflows(_new(RawPathString, text)) != ignored
+        ):
+            found.append(text)
+    return found
 
 
 def trace_invariant_holds(text: str) -> bool:
@@ -64,3 +98,18 @@ def mutate_preserving_target(canonical_text: str, rng) -> str:
         else:
             s = rng.choice(["./", "../"]) + s
     return s
+
+
+if __name__ == "__main__":
+    failed = False
+    for alphabet, visited in FAST_PATH_SPACES:
+        spec = EnumerationSpec(alphabet=alphabet, max_len=10)
+        # _sharded raises unless its shards saw exactly total_count(spec).
+        found = _sharded(spec, fast_path_check)
+        counted = total_count(spec)
+        print(
+            f"{alphabet!r} up to length 10: {counted} strings (want {visited}),"
+            f" {len(found)} differ from the walk: {found[:5]}"
+        )
+        failed = failed or bool(found) or counted != visited
+    sys.exit(1 if failed else 0)

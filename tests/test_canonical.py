@@ -4,6 +4,7 @@ import sys
 import pytest
 
 import pathguard
+from invariant_checks import FAST_PATH_SPACES, fast_path_check
 from pathguard import (
     EmbeddedNul,
     EnumerationSpec,
@@ -18,7 +19,6 @@ from pathguard import (
     validate_raw,
 )
 from pathguard import canonical, cli
-from pathguard.canonical import _canonical_text, _walk
 from pathguard.verifier import _sharded
 
 
@@ -66,6 +66,25 @@ class TestFinalStack:
         assert final.text == "/a/b"
 
 
+def _climbing_or_wrong(block):
+    """A verifier block check: (text, underflows, closed form) for each
+    string that climbs above the root or on which the two counts differ.
+    Each name is pushed once and each ".." pops a name or is ignored, so
+    ignored = dot-dots - (names - names left in the result)."""
+    found = []
+    for text in block:
+        raw = validate_raw(text)
+        parts = text.split("/")
+        names = sum(part not in ("", ".", "..") for part in parts)
+        final = canonicalize(raw)
+        left = len(final[1:].split("/")) if final != "/" else 0
+        expected = parts.count("..") - names + left
+        got = underflows(raw)
+        if expected or got != expected:
+            found.append((text, got, expected))
+    return found
+
+
 class TestCanonicalize:
     @pytest.mark.parametrize(
         "text,expected",
@@ -92,36 +111,15 @@ class TestCanonicalize:
         assert canonicalize(validate_raw("/" * 4096)).text == "/"
 
     def test_underflows_equals_a_count_taken_without_the_walk(self):
-        # Each name is pushed once and each ".." pops a name or is ignored,
-        # so ignored = dot-dots - (names - names left in the result).
-        wrong, climbing = [], [0]
-
-        def visit(text):
-            raw = validate_raw(text)
-            parts = text.split("/")
-            names = sum(part not in ("", ".", "..") for part in parts)
-            final = canonicalize(raw)
-            left = len(final[1:].split("/")) if final != "/" else 0
-            expected = parts.count("..") - names + left
-            if underflows(raw) != expected:
-                wrong.append(text)
-            climbing[0] += expected > 0
-
+        # Sharded over the CPUs as the verifier's sweeps are; _sharded
+        # raises unless its shards saw exactly total_count(spec) strings.
         spec = EnumerationSpec(alphabet="/.ab", max_len=8)
-        assert enumerate_all(spec, visit) == 87_381
+        assert total_count(spec) == 87_381
+        found = _sharded(spec, _climbing_or_wrong)
+        wrong = [f for f in found if f[1] != f[2]]
         assert wrong == []
-        assert climbing[0] > 0
-
-    def test_underflows_runs_no_walk_without_dotdot(self, monkeypatch):
-        walked = []
-        monkeypatch.setattr(
-            canonical, "_walk", lambda raw: walked.append(raw) or ([], 7)
-        )
-        for text in ["", "/a/b", "./a/./b", "/.a/b./", "//."]:
-            assert underflows(validate_raw(text)) == 0
-        assert walked == []
-        assert underflows(validate_raw("/a/../..")) == 7
-        assert walked == ["/a/../.."]
+        climbing = len(found)
+        assert climbing > 0
 
     def test_every_output_is_canonical_without_the_rescan(self):
         # canonicalize wraps its result without re-running is_canonical_text,
@@ -191,26 +189,17 @@ class TestSanitize:
             call()
 
 
-def _fast_path_check(block):
-    """A verifier block check: the strings on which the fast path's text
-    differs from the stack walk's."""
-    return [t for t in block if _canonical_text(t) != "/" + "/".join(_walk(t)[0])]
-
-
 class TestFastPath:
-    """normpath computes every decision's text; the walk is the reference."""
+    """normpath computes every decision's text and ignored-".." count; the
+    walk is the reference."""
 
-    @pytest.mark.parametrize(
-        "alphabet,visited", [("/.ab", 1_398_101), ("/.a", 88_573)]
-    )
+    @pytest.mark.parametrize("alphabet,visited", FAST_PATH_SPACES)
     def test_equals_the_walk_on_every_string_up_to_length_10(self, alphabet, visited):
         # Sharded over the CPUs as the verifier's sweeps are; _sharded
         # raises unless its shards saw exactly total_count(spec) strings.
-        # The "/.a" strings also lie in the "/.ab" space; that case is kept
-        # for its own exact count.
         spec = EnumerationSpec(alphabet=alphabet, max_len=10)
         assert total_count(spec) == visited
-        assert _sharded(spec, _fast_path_check) == []
+        assert _sharded(spec, fast_path_check) == []
 
     def test_nul_never_reaches_normpath(self, monkeypatch, capsys):
         # Early 3.11 releases of the C core stopped at a NUL, which would

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import pathguard
-from pathguard import canonicalize, underflows, validate_raw
+from pathguard import canonical, canonicalize, underflows, validate_raw
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_text
 from pathguard.cli import BLOCK_LINES, main
@@ -478,6 +478,33 @@ class TestBlockEdges:
         assert (code, out, err) == line_by_line(command, text, root, strict)
         jailed = "pathguard: line 700: jailed path length 4101 exceeds limit 4096\n"
         assert line_errors(err) == ([] if root is None else [jailed])
+
+    def test_strict_underflow_runs_no_walk(self, capsys, monkeypatch, whitelist_file):
+        # The ignored ".." are counted by normpath, as the texts are: the
+        # stack walk is the tests' reference and runs only in
+        # canonicalize_traced.
+        def walk(*args):
+            raise AssertionError("the stack walk ran")
+
+        monkeypatch.setattr(canonical, "_walk", walk)
+        ignored = {
+            "": 0, "/a/b": 0, "/..": 1, "/a/../..": 1, "../../x/..": 2,
+            "/.x/../../...": 1, ".../../..": 1, "..a/../..": 1,
+            "a/b/../../../../c": 2, "//..//./../a": 2, "/../a/b/../../../": 2,
+        }
+        assert {t: underflows(validate_raw(t)) for t in ignored} == ignored
+        text = edge_batch("/a\x00b")
+        for command in ["canon", "check"]:
+            for root in [None, "/srv"]:
+                extra = ["--whitelist", whitelist_file] if command == "check" else []
+                if root is not None:
+                    extra += ["--root", root]
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                code, out, err = run(
+                    capsys, command, "--stdin", "--strict-underflow", *extra
+                )
+                assert (code, out, err) == line_by_line(command, text, root, True)
+                assert len(line_errors(err)) < len(err.splitlines())
 
 
 class TestByteExact:

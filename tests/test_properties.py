@@ -16,6 +16,7 @@ from pathguard import (
     is_canonical_text,
     rewrite_canonicalize,
     sanitize,
+    underflows,
     validate_raw,
 )
 from pathguard.canonical import _canonical_text, _walk
@@ -69,7 +70,9 @@ def test_oracle_equivalence_on_arbitrary_text(text):
 @given(fast_path_texts)
 def test_fast_path_equals_the_walk_on_arbitrary_text(text):
     raw = validate_raw(text)
-    assert _canonical_text(raw) == "/" + "/".join(_walk(raw)[0])
+    stack, ignored = _walk(raw)
+    assert _canonical_text(raw) == "/" + "/".join(stack)
+    assert underflows(raw) == ignored
 
 
 @given(path_texts)
