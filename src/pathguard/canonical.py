@@ -9,7 +9,8 @@ form is the canonical path. It is a purely lexical transformation: no
 filesystem access, no symlink resolution, and "/" is the only separator.
 
 Decisions take the same text from :func:`_canonical_text`, which runs
-posixpath's normpath core in C on 3.11+, and :func:`underflows`, the count
+posixpath's normpath core in C on 3.11+ (:func:`_canonical_texts` is its
+bulk form, for batches and sweeps), and :func:`underflows`, the count
 of ".." parts ignored at the root, takes the same normpath on the relative
 form. The walk stays the reference: the test suite pins the text and the
 count equal to the walk's on every string over "/.ab" and "/.a" up to
@@ -24,7 +25,9 @@ take plain ``str`` that has already passed the NUL and length rule.
 from __future__ import annotations
 
 import posixpath
-from typing import Iterable, List, Optional, Tuple, Union
+from itertools import repeat
+from operator import concat
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .model import CanonicalPath, RawPathString, Whitelist, _new, _read_paths
 
@@ -61,6 +64,14 @@ def _canonical_text(text: str) -> str:
     checked text. Three "/" go in front: POSIX keeps a leading "//", but
     normpath folds three or more leading "/" to one, in C and in Python."""
     return _normpath("///" + text)
+
+
+def _canonical_texts(texts: Iterable[str], prefix: str = "") -> Iterator[str]:
+    """``_canonical_text(prefix + text)`` for each of ``texts``, lazily: the
+    bulk form of the one formula, with one C-level concatenation per text
+    and no Python frame. ``operator.concat`` is the concatenation: it takes
+    about 10% less of a sweep than a bound ``str.__add__``."""
+    return map(_normpath, map(concat, repeat("///" + prefix), texts))
 
 
 def canonicalize(raw: RawPathString) -> CanonicalPath:

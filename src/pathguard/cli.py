@@ -22,7 +22,7 @@ from itertools import count, islice
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
-from .canonical import _canonical_text, load_whitelist, underflows
+from .canonical import _canonical_texts, load_whitelist, underflows
 from .model import CanonicalPath, PathError, RawPathString, _all_checked, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
@@ -141,14 +141,16 @@ def _answer_lines(
 
     A block's lines are put under ``root`` if there is one, held to the NUL
     and length rule in one check over the jailed paths (each holds its
-    line), and the paths kept are canonicalized in one ``map``. A block
-    that fails the check, and every block under ``--strict-underflow``, is
-    taken line by line only to report and filter: it drops each failing
-    line, naming it on stderr by number, and reports the ".." parts ignored
-    at the root with the line as sent, in line order. :func:`underflows`
-    counts them with the same normpath that computes the texts; the stack
-    walk does not run. Exit 2 if any line failed or stdin could not be
-    read, else 1 if any path was denied, else 0.
+    line), and the paths kept are canonicalized in one ``map`` of
+    ``_canonical_texts``, the form the verifier's sweeps certify. A block
+    that fails the check, or any block under ``--strict-underflow``, is
+    also taken line by line, only to report and filter: a block that failed
+    drops each failing line, naming it by number, and under the flag the
+    lines that hold ".." report the parts ignored at the root with the line
+    as sent. A block's stderr lines go out in line order, in one write.
+    :func:`underflows` counts them with the same normpath that computes the
+    texts; the stack walk does not run. Exit 2 if any line failed or stdin
+    could not be read, else 1 if any path was denied, else 0.
     """
     failed = denied = False
     error: Optional[ValueError] = None
@@ -161,29 +163,33 @@ def _answer_lines(
         if args.stdin:
             block = [line.rstrip("\n").rstrip("\r") for line in block]
         paths = block if root is None else [root + "/" + line for line in block]
-        kept = paths
-        if args.strict_underflow or not _all_checked(paths):
-            kept = []
-            for number, (text, path) in enumerate(zip(block, paths), first):
-                where = f"line {number}: " if args.stdin else ""
-                try:
-                    _checked(text)
-                    if root is not None:
-                        _checked(path, "jailed path")
-                except PathError as exc:
-                    _fail(f"{where}{exc}")
-                    continue
-                if args.strict_underflow and (
-                    ignored := underflows(_new(RawPathString, path))
+        checked = _all_checked(paths)
+        kept = paths if checked else []
+        if not checked or args.strict_underflow:
+            at = "pathguard: line {}: " if args.stdin else "pathguard: "
+            reports = []
+            for text, path, number in zip(block, paths, count(first)):
+                if not checked:
+                    try:
+                        _checked(text)
+                        if root is not None:
+                            _checked(path, "jailed path")
+                    except PathError as exc:
+                        reports.append(f"{at.format(number)}{exc}\n")
+                        continue
+                    kept.append(path)
+                if (
+                    args.strict_underflow
+                    and ".." in path
+                    and (ignored := underflows(_new(RawPathString, path)))
                 ):
-                    print(
-                        f"pathguard: {where}{ignored} parent reference(s) ignored"
-                        f" at the root in {text!r}",
-                        file=sys.stderr,
+                    reports.append(
+                        f"{at.format(number)}{ignored} parent reference(s) ignored"
+                        f" at the root in {text!r}\n"
                     )
-                kept.append(path)
+            sys.stderr.write("".join(reports))
             failed = failed or len(kept) < len(paths)
-        texts = list(map(_canonical_text, kept))
+        texts = list(_canonical_texts(kept))
         out, deny = answer(texts) if texts else ("", False)
         sys.stdout.write(out)
         denied = denied or deny

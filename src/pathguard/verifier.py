@@ -2,8 +2,8 @@
 
 Instead of symbolic execution, every string over a small alphabet (which
 holds no NUL) up to a length bound is enumerated in shortlex order and
-pushed, as plain text, through ``_canonical_text``, which computes every
-decision's text: the residue sweep certifies that no traversal characters
+pushed, as plain text, through ``_canonical_texts``, the bulk form of the
+formula that computes every decision's text: the residue sweep certifies that no traversal characters
 survive in any output, and the preimage search lists every input that
 reaches a chosen canonical target (cross-checked against the independent
 rewriting oracle).
@@ -13,9 +13,17 @@ is refused with :class:`BudgetExceeded` before any string is visited. The
 limit is fixed: no flag or argument raises it. Over the default "/.abc",
 ``max_len`` 8 (488,281 strings) runs and 9 (2,441,406) is refused.
 
-One enumerator, ``_strings``, walks the shortlex order and yields any
-contiguous range of its ranks. A sweep is a check of one block: a function
-from a list of strings to that list's findings, in its order. ``_sharded``
+One enumerator, ``_blocks``, walks the shortlex order a prefix block at a
+time and yields any contiguous range of its ranks. A block is a pair
+``(prefix, suffixes)`` that stands for the strings ``prefix + suffix``, in
+the list's order. ``suffixes`` is every string of the longest length ``s``
+with ``len(alphabet) ** s <= _BLOCK`` (4,096): 3,125 strings over "/.abc",
+4,096 over "/.ab". It is built once per range and shared by every block
+of a length of ``s`` or more, whose prefix is one string of the remaining
+length; each length below ``s`` is one block of its own, with prefix "".
+The list is sliced only where a range starts or ends inside a block. A
+sweep is a check of one block: a function from a prefix and its suffixes
+to the findings among their strings, in order. ``_sharded``
 cuts the ranks into one range per CPU in the process's affinity mask,
 whose sizes differ by at most one string. The caller runs the first range,
 the smallest, itself (so a one-CPU mask forks nothing) and forks a child
@@ -27,33 +35,37 @@ ends in ``os._exit``, so it never runs the caller's exit handlers or
 flushes its buffers.
 
 One runner, in the caller and in each child alike, hands its range to the
-check ``_BLOCK`` (4,096) strings at a time, a fixed size, and counts the
-strings it hands out; ``_sharded`` raises unless the counts add up to the
-whole space. The residue check maps a block through ``_canonical_text``
-and tests all of its outputs at once with ``model._all_canonical``, a
-fixed number of C-level passes over one joined string. A string has no
-residue finding exactly when its output is canonical, so a clean block
-runs no per-string Python code; only a block that fails the test is
-walked string by string to name its findings. The preimage check keeps a
-block's hits with ``itertools.compress``. Either way the findings, and
-their order, are those of a walk of one string at a time.
+check a block at a time and counts the strings it hands out; ``_sharded``
+raises unless the counts add up to the whole space. The residue check
+maps ``canonical._canonical_texts``, the bulk form of the formula every
+decision uses, over a block's suffixes with the prefix fused into
+normpath's argument, so a string costs one C-level concatenation and no
+Python frame. It tests all of the outputs at once with
+``model._all_canonical``, a fixed number of C-level passes over one
+joined string. A string has no residue finding exactly when its output is
+canonical, so a clean block runs no per-string Python code and never
+builds its strings; only a block that fails the test is walked string by
+string to name its findings. The preimage check keeps a block's hits
+among the suffixes with ``itertools.compress`` and puts the prefix in
+front of the hits alone. Either way the findings, and their order, are
+those of a walk of one string at a time.
 """
 
 from __future__ import annotations
 
 import marshal
 import os
-from itertools import chain, compress, islice, product
+from itertools import compress, islice, product
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Tuple
 
-from .canonical import _canonical_text
+from .canonical import _canonical_texts
 from .model import BudgetExceeded, CanonicalPath, RawPathString, _all_canonical, _new
 from .oracle import rewrite_canonicalize
 
 DEFAULT_ALPHABET = "/.abc"
 # The most strings one sweep may visit; see the module docstring.
 MAX_SWEEP = 2_000_000
-# Strings a sweep takes at a time; see the module docstring.
+# The most strings a sweep takes at a time; see the module docstring.
 _BLOCK = 4096
 
 
@@ -107,10 +119,12 @@ def _checked_count(spec: EnumerationSpec) -> int:
 
 
 # Aliases for annotations only, so they cost nothing at import.
+# Block: a prefix and its suffixes, which stand for the strings prefix + suffix.
 # Check: returns a block's findings, in the block's order.
 # ShardResult: the strings a range handed to its check, and their findings.
 if TYPE_CHECKING:
-    Check = Callable[[List[str]], list]
+    Block = Tuple[str, List[str]]
+    Check = Callable[[str, List[str]], list]
     ShardResult = Tuple[int, list]
 
 # SIGKILL, which POSIX fixes at 9; importing the signal module for the name
@@ -118,21 +132,42 @@ if TYPE_CHECKING:
 _SIGKILL = 9
 
 
-def _strings(
+def _words(alphabet: str, length: int) -> List[str]:
+    """Every string of ``length`` over the alphabet, in alphabet order."""
+    return list(map("".join, product(alphabet, repeat=length)))
+
+
+def _blocks(
     spec: EnumerationSpec, start: int = 0, stop: int | None = None
-) -> Iterator[str]:
-    """The strings of shortlex rank ``start`` up to ``stop``: shorter
-    strings first, each length in alphabet order. The one enumerator; every
-    walk over the space, whole or in shards, takes its strings from here."""
-    every = chain.from_iterable(
-        product(spec.alphabet, repeat=length) for length in range(spec.max_len + 1)
-    )
-    return map("".join, islice(every, start, stop))
+) -> Iterator[Block]:
+    """The strings of shortlex rank ``start`` up to ``stop`` (shorter
+    strings first, each length in alphabet order) as blocks ``(prefix,
+    suffixes)``; see the module docstring. The one enumerator; every walk
+    over the space, whole or in shards, takes its strings from here."""
+    alphabet, k = spec.alphabet, len(spec.alphabet)
+    width = 0
+    while k ** (width + 1) <= _BLOCK:
+        width += 1
+    suffixes = _words(alphabet, width)
+    if stop is None:
+        stop = total_count(spec)
+    rank = 0  # of the first string of the block at hand
+    for length in range(spec.max_len + 1):
+        tail = suffixes if length >= width else _words(alphabet, length)
+        size, heads = len(tail), max(length - width, 0)
+        skip = min(max(start - rank, 0) // size, k**heads)
+        rank += skip * size
+        for head in islice(product(alphabet, repeat=heads), skip, None):
+            if max(rank, start) >= stop:
+                return
+            lo, hi = max(start - rank, 0), min(stop - rank, size)
+            yield "".join(head), tail if hi - lo == size else tail[lo:hi]
+            rank += size
 
 
 def enumerate_all(spec: EnumerationSpec, visit: Callable[[str], None]) -> int:
     """Visit every string over the alphabet, shortlex order, exactly once,
-    as ``_strings`` yields them.
+    as ``_blocks`` yields them.
 
     Returns the count visited.
 
@@ -140,8 +175,9 @@ def enumerate_all(spec: EnumerationSpec, visit: Callable[[str], None]) -> int:
         BudgetExceeded: the closed-form count exceeds ``MAX_SWEEP``.
     """
     count = _checked_count(spec)
-    for text in _strings(spec):
-        visit(text)
+    for prefix, suffixes in _blocks(spec):
+        for text in map(prefix.__add__, suffixes):
+            visit(text)
     return count
 
 
@@ -152,18 +188,18 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run(check: Check, strings: Iterator[str]) -> ShardResult:
-    """Hand ``strings`` to ``check`` ``_BLOCK`` at a time. Returns how many
-    strings it handed out, and the findings concatenated in order."""
+def _run(check: Check, blocks: Iterator[Block]) -> ShardResult:
+    """Hand ``blocks`` to ``check`` one at a time. Returns how many strings
+    it handed out, and the findings concatenated in order."""
     visited, findings = 0, []
-    while block := list(islice(strings, _BLOCK)):
-        visited += len(block)
-        findings += check(block)
+    for prefix, suffixes in blocks:
+        visited += len(suffixes)
+        findings += check(prefix, suffixes)
     return visited, findings
 
 
-def _fork_shard(check: Check, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
-    """Start a child that runs the check over the strings; returns its pid
+def _fork_shard(check: Check, blocks: Iterator[Block]) -> Tuple[int, BinaryIO]:
+    """Start a child that runs the check over the blocks; returns its pid
     and result pipe."""
     rfd, wfd = os.pipe()
     try:
@@ -176,7 +212,7 @@ def _fork_shard(check: Check, strings: Iterator[str]) -> Tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(rfd)
-            data = marshal.dumps(_run(check, strings))
+            data = marshal.dumps(_run(check, blocks))
             with open(wfd, "wb") as out:
                 out.write(data)
             status = 0
@@ -205,7 +241,7 @@ def _reap(pid: int, data: bytes) -> ShardResult:
 
 def _sharded(spec: EnumerationSpec, check: Check) -> list:
     """Run ``check`` over every string, one rank range per CPU this process
-    may use, each range ``_BLOCK`` strings at a time.
+    may use, each range a block at a time.
 
     Returns the findings of all ranges, concatenated in shortlex order.
 
@@ -222,10 +258,10 @@ def _sharded(spec: EnumerationSpec, check: Check) -> list:
     children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_shard(check, _strings(spec, lo, hi)))
+            children.append(_fork_shard(check, _blocks(spec, lo, hi)))
         # The caller also forks and merges, so it runs the first range,
         # which is the smallest.
-        results.append(_run(check, _strings(spec, 0, cuts[1])))
+        results.append(_run(check, _blocks(spec, 0, cuts[1])))
         while children:
             pid, pipe = children[0]
             data = pipe.read()
@@ -243,14 +279,14 @@ def _sharded(spec: EnumerationSpec, check: Check) -> list:
     return [found for _, findings in results for found in findings]
 
 
-def _residue_check(block: List[str]) -> list:
+def _residue_check(prefix: str, suffixes: List[str]) -> list:
     # A string has no finding exactly when its output is canonical, so only
     # a block whose outputs are not all canonical is walked string by string.
-    outs = list(map(_canonical_text, block))
+    outs = list(_canonical_texts(suffixes, prefix))
     if _all_canonical(outs):
         return []
     found = []
-    for text, out in zip(block, outs):
+    for text, out in zip(map(prefix.__add__, suffixes), outs):
         if not out.startswith("/"):
             found.append((text, out, "missing-leading-slash"))
         trailing = out.endswith("/")
@@ -283,8 +319,9 @@ def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
     AssertionError: one of the two implementations is broken.
     """
 
-    def check(block: List[str]) -> list:
-        return list(compress(block, map(target.__eq__, map(_canonical_text, block))))
+    def check(prefix: str, suffixes: List[str]) -> list:
+        outs = _canonical_texts(suffixes, prefix)
+        return list(map(prefix.__add__, compress(suffixes, map(target.__eq__, outs))))
 
     hits = _sharded(spec, check)
     for text in hits:

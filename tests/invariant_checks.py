@@ -6,8 +6,8 @@ have only the stdlib:
 
     PYTHONPATH=src python tests/invariant_checks.py
 
-It exits 1 if normpath's text or count differs from the stack walk's on any
-string of either space in FAST_PATH_SPACES.
+It exits 1 if normpath's text, in either of its forms, or count differs
+from the stack walk's on any string of either space in FAST_PATH_SPACES.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 
 from pathguard import EnumerationSpec, RawPathString, canonicalize_traced, total_count
-from pathguard.canonical import _canonical_text, _walk, underflows
+from pathguard.canonical import _canonical_text, _canonical_texts, _walk, underflows
 from pathguard.model import _new
 from pathguard.verifier import _sharded
 
@@ -27,14 +27,19 @@ FRESH_NAMES = ["zz", "q", "tmp0", "tmp1", "w"]
 FAST_PATH_SPACES = (("/.ab", 1_398_101), ("/.a", 88_573))
 
 
-def fast_path_check(block):
-    """A verifier block check: the strings on which the fast path's text or
-    :func:`underflows` differs from the stack walk's, walked once each."""
+def fast_path_check(prefix, suffixes):
+    """A verifier block check: the strings on which the fast path's text,
+    from :func:`_canonical_text` or from the block's one call of its bulk
+    form as the sweeps and batches make it, or :func:`underflows` differs
+    from the stack walk's, walked once each."""
     found = []
-    for text in block:
+    bulk = _canonical_texts(suffixes, prefix)
+    for text, out in zip(map(prefix.__add__, suffixes), bulk):
         stack, ignored = _walk(text)
+        walked = "/" + "/".join(stack)
         if (
-            _canonical_text(text) != "/" + "/".join(stack)
+            _canonical_text(text) != walked
+            or out != walked
             or underflows(_new(RawPathString, text)) != ignored
         ):
             found.append(text)

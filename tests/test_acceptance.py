@@ -53,7 +53,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def _check(fails):
     """A verifier block check: the strings on which ``fails`` is true."""
-    return lambda block: list(filter(fails, block))
+    return lambda prefix, suffixes: list(filter(fails, map(prefix.__add__, suffixes)))
 
 
 def _oracle_disagrees(text):

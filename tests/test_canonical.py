@@ -66,13 +66,13 @@ class TestFinalStack:
         assert final.text == "/a/b"
 
 
-def _climbing_or_wrong(block):
+def _climbing_or_wrong(prefix, suffixes):
     """A verifier block check: (text, underflows, closed form) for each
     string that climbs above the root or on which the two counts differ.
     Each name is pushed once and each ".." pops a name or is ignored, so
     ignored = dot-dots - (names - names left in the result)."""
     found = []
-    for text in block:
+    for text in map(prefix.__add__, suffixes):
         raw = validate_raw(text)
         parts = text.split("/")
         names = sum(part not in ("", ".", "..") for part in parts)

@@ -624,7 +624,11 @@ class TestVerify:
             out = _canonical_text(text)
             return out + "/" if text == "a/" else out
 
-        monkeypatch.setattr(verifier_module, "_canonical_text", faulty)
+        monkeypatch.setattr(
+            verifier_module,
+            "_canonical_texts",
+            lambda texts, prefix="": map(faulty, map(prefix.__add__, texts)),
+        )
 
     def test_violations_exact(self, capsys, monkeypatch):
         self._trailing_slash_after_a(monkeypatch)

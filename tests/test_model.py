@@ -117,16 +117,24 @@ TEXTS = [
 CODES = "/." + "".join(chr(0x100 + i) for i in range(len(TEXTS) - 2))
 TEXT = dict(zip(CODES, TEXTS))
 FLAG = dict(zip(CODES, map(is_canonical_text, TEXTS)))
+# 121**2 is more than a sweep block, so the verifier's suffixes are single
+# codes (and "" for the empty list): each is decoded here, once.
+SUFFIX_LIST = {"": [], **{code: [TEXT[code]] for code in CODES}}
+SUFFIX_FLAG = {"": True, **FLAG}
 
 
-def _all_canonical_wrong(block):
+def _all_canonical_wrong(prefix, suffixes):
     """A verifier block check: the lists of texts, as code strings, on which
-    the bulk check differs from the reference. C-level passes only."""
-    texts = map(map, itertools.repeat(TEXT.__getitem__), block)
-    flags = map(map, itertools.repeat(FLAG.__getitem__), block)
-    got = map(_all_canonical, map(list, texts))
-    want = map(all, flags)
-    return list(itertools.compress(block, map(operator.ne, got, want)))
+    the bulk check differs from the reference. The prefix is decoded once a
+    block; C-level passes only."""
+    head = [TEXT[code] for code in prefix]
+    got = map(_all_canonical, map(head.__add__, map(SUFFIX_LIST.__getitem__, suffixes)))
+    if all(map(FLAG.__getitem__, prefix)):
+        want = map(SUFFIX_FLAG.__getitem__, suffixes)
+    else:
+        want = itertools.repeat(False)
+    wrong = itertools.compress(suffixes, map(operator.ne, got, want))
+    return list(map(prefix.__add__, wrong))
 
 
 class TestAllCanonical:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import os
 import time
 
@@ -18,7 +19,18 @@ from pathguard import (
 )
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_text
-from pathguard.verifier import _sharded, _strings
+from pathguard.verifier import _BLOCK, _blocks, _sharded
+
+
+def _strings(spec, start=0, stop=None):
+    """The strings of ``_blocks(spec, start, stop)``, flattened."""
+    return [p + s for p, suffixes in _blocks(spec, start, stop) for s in suffixes]
+
+
+def _bulk(canonical_text):
+    """``canonical._canonical_texts`` with ``canonical_text`` for the
+    formula: the form in which the sweeps call it."""
+    return lambda texts, prefix="": map(canonical_text, map(prefix.__add__, texts))
 
 
 class TestEnumerationSpec:
@@ -103,6 +115,90 @@ class TestEnumerateAll:
         assert verify_no_residue(spec) == []
 
 
+# Alphabets of 2, 4, 5 and 121 characters, each with its suffix length: the
+# longest s with len(alphabet) ** s <= _BLOCK.
+BLOCK_ALPHABETS = [
+    ("/.", 12),
+    ("/.ab", 6),
+    ("/.abc", 5),
+    ("/." + "".join(map(chr, range(0x100, 0x100 + 119))), 1),
+]
+BLOCK_IDS = [str(len(alphabet)) for alphabet, _ in BLOCK_ALPHABETS]
+
+
+def _cut(blocks, firsts, lo, hi):
+    """``blocks``, whose first strings have the ranks ``firsts``, cut to the
+    ranks ``lo`` up to ``hi``."""
+    cut = []
+    for (prefix, suffixes), first in zip(blocks, firsts):
+        last = first + len(suffixes)
+        if lo < last and first < hi:
+            whole = lo <= first and last <= hi
+            cut.append((prefix, suffixes if whole else suffixes[max(lo - first, 0) : hi - first]))
+    return cut
+
+
+class TestBlocks:
+    """``_blocks`` yields the shortlex order a prefix block at a time."""
+
+    @staticmethod
+    def _ranges_equal_the_whole_cut(spec, whole, cuts):
+        """Each range of ``cuts`` yields ``whole``, the blocks of the whole
+        space, cut to the range."""
+        sizes = [len(suffixes) for _, suffixes in whole]
+        firsts, longest = list(itertools.accumulate(sizes, initial=0)), max(sizes)
+        for lo, hi in zip(cuts, cuts[1:]):
+            blocks = list(_blocks(spec, lo, hi))
+            assert blocks == _cut(whole, firsts, lo, hi)
+            assert all(0 < len(suffixes) <= _BLOCK for _, suffixes in blocks)
+            # One suffix list serves every whole block of the longest suffixes.
+            assert len({id(s) for _, s in blocks if len(s) == longest}) <= 1
+
+    @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
+    def test_blocks_flatten_to_shortlex_order_in_every_shard(self, alphabet, width):
+        k = len(alphabet)
+        assert k**width <= _BLOCK < k ** (width + 1)
+        for max_len in range(width + 3):
+            spec = EnumerationSpec(alphabet, max_len)
+            whole = list(_blocks(spec))
+            # Compared a string at a time: over 121 characters there are
+            # 1,786,324 strings.
+            got = itertools.chain.from_iterable(
+                map(map, [p.__add__ for p, _ in whole], [s for _, s in whole])
+            )
+            want = map("".join, itertools.chain.from_iterable(
+                itertools.product(alphabet, repeat=length) for length in range(max_len + 1)
+            ))
+            assert all(itertools.starmap(operator.eq, itertools.zip_longest(got, want)))
+            # Below the suffix length each length is one block with prefix "";
+            # from it on, each prefix of the remaining length is one block.
+            assert [(len(p), len(s)) for p, s in whole] == [
+                (max(length - width, 0), k ** min(length, width))
+                for length in range(max_len + 1)
+                for _ in range(k ** max(length - width, 0))
+            ]
+            count = total_count(spec)
+            for n in range(1, 5):
+                cuts = _cuts(count, min(n, count))
+                self._ranges_equal_the_whole_cut(spec, whole, cuts)
+
+    @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
+    def test_ranges_cut_one_rank_beside_a_block_edge(self, alphabet, width):
+        # Each length's first rank is an edge, and so are the second and the
+        # last prefix block of a length longer than the suffixes. A range
+        # ends or starts one rank either side of it.
+        k, max_len = len(alphabet), width + 2
+        spec = EnumerationSpec(alphabet, max_len)
+        whole = list(_blocks(spec))
+        firsts = [(k**length - 1) // (k - 1) for length in range(max_len + 2)]
+        edges = firsts[1:-1]
+        for length in range(width + 1, max_len + 1):
+            edges += [firsts[length] + k**width, firsts[length + 1] - k**width]
+        for edge in edges:
+            cuts = [max(edge - 1 - _BLOCK, 0), edge - 1, edge + 1, edge + 1 + _BLOCK]
+            self._ranges_equal_the_whole_cut(spec, whole, cuts)
+
+
 class TestVerifyNoResidue:
     def test_small_sweep_is_clean(self):
         spec = EnumerationSpec(alphabet="/.a", max_len=4)
@@ -118,7 +214,7 @@ class TestVerifyNoResidue:
                 return "/" + text
             return _canonical_text(text)
 
-        monkeypatch.setattr(verifier_module, "_canonical_text", faulty)
+        monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(faulty))
         found = verify_no_residue(EnumerationSpec(alphabet="/.a", max_len=4))
         assert [(v.input, v.output, v.offending) for v in found] == [
             ("a/.", "/a/.", "/./"),
@@ -194,7 +290,7 @@ def _cuts(count, n):
 
 
 def _rank(spec, text):
-    return list(_strings(spec)).index(text)
+    return _strings(spec).index(text)
 
 
 class TestSharding:
@@ -214,15 +310,24 @@ class TestSharding:
         assert enumerate_all(spec, visited.append) == total_count(spec) == 364
         assert visited == want
         cuts = _cuts(364, n)
-        ranges = [list(_strings(spec, lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+        ranges = [_strings(spec, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         assert [s for strings in ranges for s in strings] == want
         sizes = [len(strings) for strings in ranges]
         assert max(sizes) - min(sizes) <= 1
         # The sweeps cut the same ranges and concatenate their findings in
-        # order. A range of at most 364 strings is one block, so a check
-        # whose one finding is its block returns the ranges.
+        # order. Over "/.a" the suffixes are 7 long, so below that every
+        # length is one block with prefix "", cut where a range is cut: a
+        # check whose one finding is its block returns each range's strings
+        # split at the lengths.
+        blocks = [
+            [s for s in strings if len(s) == length]
+            for strings in ranges
+            for length in sorted(set(map(len, strings)))
+        ]
         _cpus(monkeypatch, n)
-        assert _sharded(spec, lambda block: [block]) == ranges
+        found = _sharded(spec, lambda prefix, suffixes: [(prefix, suffixes)])
+        assert [prefix for prefix, _ in found] == [""] * len(blocks)
+        assert [suffixes for _, suffixes in found] == blocks
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_caller_runs_the_first_and_smallest_range(self, monkeypatch, n):
@@ -234,19 +339,19 @@ class TestSharding:
         caller, forked = [], []
         fork_shard = verifier_module._fork_shard
 
-        def fork(check, strings):
-            forked.append(strings)
-            return fork_shard(check, strings)
+        def fork(check, blocks):
+            forked.append(blocks)
+            return fork_shard(check, blocks)
 
-        def check(block):
-            caller.extend(block)
+        def check(prefix, suffixes):
+            caller.extend(map(prefix.__add__, suffixes))
             return []
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
         _cpus(monkeypatch, n)
         assert _sharded(spec, check) == []
         assert len(forked) == n - 1
-        assert caller == list(_strings(spec, 0, count // n))
+        assert caller == _strings(spec, 0, count // n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_preimages_independent_of_cpu_count(self, monkeypatch, n):
@@ -264,7 +369,9 @@ class TestSharding:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_faulty_residue_independent_of_cpu_count(self, monkeypatch, n):
-        monkeypatch.setattr(verifier_module, "_canonical_text", _faulty_canonical_text)
+        monkeypatch.setattr(
+            verifier_module, "_canonical_texts", _bulk(_faulty_canonical_text)
+        )
         plain = []
 
         def collect(text):
@@ -283,20 +390,31 @@ class TestSharding:
         for lo, hi in zip(cuts, cuts[1:]):
             assert any(lo <= r < hi for r in ranks)
 
-    # 21,845 strings: for n up to 4, each shard holds more than one block
-    # of 4,096 and ends in a partial one.
+    # 21,845 strings. Over "/.ab" the suffixes are the 4,096 strings of
+    # length 6: lengths 0 to 5 are a block each, starting at ranks 0, 1, 5,
+    # 21, 85 and 341; length 6 is one block at rank 1,365, and length 7
+    # four, at ranks 5,461 + 4,096 * j.
     BLOCK_SPEC = EnumerationSpec(alphabet="/.ab", max_len=7)
+    BLOCK_FIRSTS = [0, 1, 5, 21, 85, 341, 1365, 5461, 9557, 13653, 17749, 21845]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_faults_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
         # The residue sweep checks a block of outputs at once and walks only
-        # a failing block string by string. Faults planted at each shard's
-        # first rank, at its block edge (ranks 4,095 and 4,096 within the
-        # shard) and in its last, partial block must come out exactly as a
-        # walk of every string reports them, in shortlex order.
+        # a failing block string by string. Faults planted at each block's
+        # first and last string (which puts them on both sides of every
+        # length boundary and at a prefix block's first and last suffix) and
+        # on both sides of each shard cut, which for n of 2 or more lies
+        # inside a block, must come out exactly as a walk of every string
+        # reports them, in shortlex order.
         spec = self.BLOCK_SPEC
-        strings = list(_strings(spec))
+        strings = _strings(spec)
         cuts = _cuts(len(strings), n)
+        firsts, inner = self.BLOCK_FIRSTS, cuts[1:-1]
+        sizes = [len(suffixes) for _, suffixes in _blocks(spec)]
+        assert list(itertools.accumulate(sizes, initial=0)) == firsts
+        assert n == 1 or set(inner) - set(firsts)
+        starts = firsts[:-1] + inner
+        edges = sorted({*starts, *(rank - 1 for rank in firsts[1:] + inner)})
         faults = [
             lambda out: out + "/",
             lambda out: "x" + out,
@@ -304,11 +422,9 @@ class TestSharding:
             lambda out: out + "/..",
         ]
         planted = {}
-        for lo, hi in zip(cuts, cuts[1:]):
-            assert lo + 4096 < hi - 1 and (hi - lo) % 4096
-            for rank, fault in zip((lo, lo + 4095, lo + 4096, hi - 1), faults):
-                text = strings[rank]
-                planted[text] = fault(_canonical_text(text))
+        for i, rank in enumerate(edges):
+            text = strings[rank]
+            planted[text] = faults[i % len(faults)](_canonical_text(text))
 
         def faulty(text):
             return planted.get(text) or _canonical_text(text)
@@ -324,7 +440,7 @@ class TestSharding:
             want += [(text, out, bad) for bad in ("//", "/./", "/../") if bad in closed]
         assert {found[0] for found in want} == set(planted)
 
-        monkeypatch.setattr(verifier_module, "_canonical_text", faulty)
+        monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(faulty))
         _cpus(monkeypatch, n)
         found = verify_no_residue(spec)
         assert [(v.input, v.output, v.offending) for v in found] == want
@@ -342,7 +458,7 @@ class TestSharding:
         monkeypatch.setattr(verifier_module, "_all_canonical", all_canonical)
         _cpus(monkeypatch, 1)
         assert verify_no_residue(self.BLOCK_SPEC) == []
-        assert passed == [True] * 6
+        assert passed == [True] * (len(self.BLOCK_FIRSTS) - 1)
 
     # Over "/.a" up to length 3 (40 strings), the preimages of "/a" are, in
     # shortlex order: "a", "/a", "a/", "//a", "/a/", "./a", "a//" and "a/.".
@@ -393,7 +509,7 @@ class TestSharding:
                 os._exit(3)
             return _canonical_text(text)
 
-        monkeypatch.setattr(verifier_module, "_canonical_text", dying)
+        monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(dying))
         _cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="status 3"):
             verify_no_residue(self.SPEC)
@@ -411,12 +527,12 @@ class TestSharding:
         # The last range, a child's when n is 2, yields one string fewer;
         # the count its runner sends back must give it away.
         count = total_count(self.SPEC)
-        strings = verifier_module._strings
+        blocks = verifier_module._blocks
 
         def short(spec, start, stop):
-            return strings(spec, start, stop - 1 if stop == count else stop)
+            return blocks(spec, start, stop - 1 if stop == count else stop)
 
-        monkeypatch.setattr(verifier_module, "_strings", short)
+        monkeypatch.setattr(verifier_module, "_blocks", short)
         _cpus(monkeypatch, n)
         with pytest.raises(RuntimeError) as err:
             verify_no_residue(self.SPEC)
