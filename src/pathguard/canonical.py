@@ -8,14 +8,17 @@ already empty, so climbing above the root is a no-op). The stack's string
 form is the canonical path. It is a purely lexical transformation: no
 filesystem access, no symlink resolution, and "/" is the only separator.
 
-Decisions take the same text from :func:`_canonical_text`, which runs
-posixpath's normpath core in C on 3.11+ (:func:`_canonical_texts` is its
-bulk form, for batches and sweeps), and :func:`underflows`, the count
-of ".." parts ignored at the root, takes the same normpath on the relative
-form. The walk stays the reference: the test suite pins the text and the
-count equal to the walk's on every string over "/.ab" and "/.a" up to
-length 10 and on arbitrary text. The walk computes only the traced
-variant, which records the stack as a tuple after every non-empty part.
+Decisions take the same text from one formula, ``_normpath("///" +
+text)``, posixpath's normpath core in C on 3.11+. :func:`canonicalize` and
+:func:`sanitize` each write it inline, so a decision enters no Python frame
+beyond ``validate_raw`` and the public function; :func:`_canonical_texts`
+is its bulk form, for batches, sweeps and ``load_whitelist``. The count of
+".." parts ignored at the root, :func:`underflows`, takes the same
+normpath on the relative form. The walk stays the reference: the test
+suite pins each copy of the text, and the count, equal to the walk's on
+every string over "/.ab" and "/.a" up to length 10 and on arbitrary text.
+The walk computes only the traced variant, which records the stack as a
+tuple after every non-empty part.
 
 Each public function checks once, on entry, that its argument is a
 :class:`RawPathString`, and raises TypeError if not. The private functions
@@ -59,18 +62,15 @@ def _walk(text: str, trace: Optional[list] = None) -> Tuple[List[str], int]:
     return stack, underflows
 
 
-def _canonical_text(text: str) -> str:
-    """The walk's text, ``"/" + "/".join(stack)``, computed by normpath on
-    checked text. Three "/" go in front: POSIX keeps a leading "//", but
-    normpath folds three or more leading "/" to one, in C and in Python."""
-    return _normpath("///" + text)
-
-
 def _canonical_texts(texts: Iterable[str], prefix: str = "") -> Iterator[str]:
-    """``_canonical_text(prefix + text)`` for each of ``texts``, lazily: the
-    bulk form of the one formula, with one C-level concatenation per text
-    and no Python frame. ``operator.concat`` is the concatenation: it takes
-    about 10% less of a sweep than a bound ``str.__add__``."""
+    """The walk's text, ``"/" + "/".join(stack)``, of ``prefix + text`` for
+    each of checked ``texts``, lazily: ``_normpath("///" + prefix + text)``.
+    Three "/" go in front: POSIX keeps a leading "//", but normpath folds
+    three or more leading "/" to one, in C and in Python. This is the bulk
+    form of the formula that :func:`canonicalize` and :func:`sanitize` write
+    inline, with one C-level concatenation per text and no Python frame.
+    ``operator.concat`` is the concatenation: it takes about 10% less of a
+    sweep than a bound ``str.__add__``."""
     return map(_normpath, map(concat, repeat("///" + prefix), texts))
 
 
@@ -83,10 +83,11 @@ def canonicalize(raw: RawPathString) -> CanonicalPath:
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    # The text equals the walk's, which only ever pushes names other than
-    # "", "." and "..": it is canonical by construction, so it is wrapped
-    # without the rescan.
-    return _new(CanonicalPath, _canonical_text(raw))
+    # _canonical_texts' formula, inline: a call would cost each decision a
+    # Python frame. The text equals the walk's, which only ever pushes names
+    # other than "", "." and "..": it is canonical by construction, so it
+    # is wrapped without the rescan.
+    return _new(CanonicalPath, _normpath("///" + raw))
 
 
 def underflows(raw: RawPathString) -> int:
@@ -114,8 +115,8 @@ def canonicalize_traced(
     and one snapshot per part: the stack's names, bottom to top. The
     snapshots exist so the loop invariant (each intermediate stack is a
     prefix of the final path, or its excess entries are later popped) can
-    be tested on the walk. Decisions take their text from
-    :func:`_canonical_text`; the walk is the reference it is pinned to.
+    be tested on the walk. Decisions take their text from normpath; the
+    walk is the reference it is pinned to.
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
@@ -128,7 +129,8 @@ def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
     """True iff the canonical text of ``raw`` is a whitelist entry."""
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
-    return _canonical_text(raw) in whitelist
+    # _canonical_texts' formula, inline, as in canonicalize.
+    return _normpath("///" + raw) in whitelist
 
 
 def load_whitelist(
@@ -153,5 +155,5 @@ def load_whitelist(
     """
     paths = _read_paths(source, "whitelist", canonical=not canonicalize_entries)
     if canonicalize_entries:
-        paths = map(_canonical_text, paths)
+        paths = _canonical_texts(paths)
     return Whitelist(paths)

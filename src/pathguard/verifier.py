@@ -45,10 +45,11 @@ Python frame. It tests all of the outputs at once with
 joined string. A string has no residue finding exactly when its output is
 canonical, so a clean block runs no per-string Python code and never
 builds its strings; only a block that fails the test is walked string by
-string to name its findings. The preimage check keeps a block's hits
-among the suffixes with ``itertools.compress`` and puts the prefix in
-front of the hits alone. Either way the findings, and their order, are
-those of a walk of one string at a time.
+string to name its findings. The preimage check lists a block's outputs
+and scans the list for the target once, in C; only a block that holds a
+hit picks its hits among the suffixes with ``itertools.compress`` and
+puts the prefix in front of the hits alone. Either way the findings, and
+their order, are those of a walk of one string at a time.
 """
 
 from __future__ import annotations
@@ -319,9 +320,17 @@ def preimages_of(spec: EnumerationSpec, target: CanonicalPath) -> List[str]:
     AssertionError: one of the two implementations is broken.
     """
 
+    # A plain str: comparing two exact str skips the subclass test that a
+    # CanonicalPath operand costs each comparison.
+    text = str(target)
+
     def check(prefix: str, suffixes: List[str]) -> list:
-        outs = _canonical_texts(suffixes, prefix)
-        return list(map(prefix.__add__, compress(suffixes, map(target.__eq__, outs))))
+        # One C-level scan finds whether the block holds a hit at all; most
+        # blocks hold none.
+        outs = list(_canonical_texts(suffixes, prefix))
+        if text not in outs:
+            return []
+        return list(map(prefix.__add__, compress(suffixes, map(text.__eq__, outs))))
 
     hits = _sharded(spec, check)
     for text in hits:

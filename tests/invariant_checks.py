@@ -6,7 +6,7 @@ have only the stdlib:
 
     PYTHONPATH=src python tests/invariant_checks.py
 
-It exits 1 if normpath's text, in either of its forms, or count differs
+It exits 1 if normpath's text, from any of its copies, or count differs
 from the stack walk's on any string of either space in FAST_PATH_SPACES.
 """
 
@@ -14,8 +14,15 @@ from __future__ import annotations
 
 import sys
 
-from pathguard import EnumerationSpec, RawPathString, canonicalize_traced, total_count
-from pathguard.canonical import _canonical_text, _canonical_texts, _walk, underflows
+from pathguard import (
+    EnumerationSpec,
+    RawPathString,
+    canonicalize,
+    canonicalize_traced,
+    sanitize,
+    total_count,
+)
+from pathguard.canonical import _canonical_texts, _walk, underflows
 from pathguard.model import _new
 from pathguard.verifier import _sharded
 
@@ -28,19 +35,23 @@ FAST_PATH_SPACES = (("/.ab", 1_398_101), ("/.a", 88_573))
 
 
 def fast_path_check(prefix, suffixes):
-    """A verifier block check: the strings on which the fast path's text,
-    from :func:`_canonical_text` or from the block's one call of its bulk
-    form as the sweeps and batches make it, or :func:`underflows` differs
-    from the stack walk's, walked once each."""
+    """A verifier block check: the strings, walked once each, on which a
+    copy of the fast path's text or :func:`underflows` differs from the
+    stack walk's. The copies are :func:`canonicalize`'s, :func:`sanitize`'s
+    (a one-entry whitelist holding the walk's text must admit the string,
+    so its text is exactly the walk's) and the block's one call of the bulk
+    form, as the sweeps and batches make it."""
     found = []
     bulk = _canonical_texts(suffixes, prefix)
     for text, out in zip(map(prefix.__add__, suffixes), bulk):
         stack, ignored = _walk(text)
         walked = "/" + "/".join(stack)
+        raw = _new(RawPathString, text)
         if (
-            _canonical_text(text) != walked
-            or out != walked
-            or underflows(_new(RawPathString, text)) != ignored
+            out != walked
+            or canonicalize(raw) != walked
+            or not sanitize(raw, (walked,))
+            or underflows(raw) != ignored
         ):
             found.append(text)
     return found

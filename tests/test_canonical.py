@@ -124,7 +124,7 @@ class TestCanonicalize:
     def test_every_output_is_canonical_without_the_rescan(self):
         # canonicalize wraps its result without re-running is_canonical_text,
         # so check the claim exhaustively on the CanonicalPath it returns.
-        # The residue sweep checks the same rule on _canonical_text's text.
+        # The residue sweep checks the same rule on the bulk form's text.
         bad = []
 
         def visit(text):
@@ -246,16 +246,20 @@ def _pathguard_calls(call):
 class TestDecisionFrames:
     """The serve and verify benchmarks time exactly these two calls, and one
     more Python frame on them costs measurable latency, so the frames are
-    pinned. validate_raw and the public functions check inline for this."""
+    pinned. validate_raw and the public functions check inline for this, and
+    canonicalize and sanitize compute normpath's text inline."""
 
     @pytest.mark.parametrize("text", ["/a/b", "a/../../b/./c//", ""])
-    def test_each_decision_enters_three_functions(self, text):
+    def test_each_decision_enters_two_functions(self, text):
         whitelist = load_whitelist("/b/c\n")
         assert _pathguard_calls(lambda: canonicalize(validate_raw(text))) == [
-            "validate_raw", "canonicalize", "_canonical_text"
+            "validate_raw", "canonicalize"
         ]
         assert _pathguard_calls(lambda: sanitize(validate_raw(text), whitelist)) == [
-            "validate_raw", "sanitize", "_canonical_text"
+            "validate_raw", "sanitize"
+        ]
+        assert _pathguard_calls(lambda: underflows(validate_raw(text))) == [
+            "validate_raw", "underflows"
         ]
 
 

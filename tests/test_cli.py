@@ -9,7 +9,7 @@ import pytest
 import pathguard
 from pathguard import canonical, canonicalize, underflows, validate_raw
 from pathguard import verifier as verifier_module
-from pathguard.canonical import _canonical_text
+from pathguard.canonical import _canonical_texts
 from pathguard.cli import BLOCK_LINES, main
 
 
@@ -621,7 +621,7 @@ class TestVerify:
     def _trailing_slash_after_a(monkeypatch):
         # A faulty canonicalizer: "a/" comes out as "/a/".
         def faulty(text):
-            out = _canonical_text(text)
+            (out,) = _canonical_texts((text,))
             return out + "/" if text == "a/" else out
 
         monkeypatch.setattr(

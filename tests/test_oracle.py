@@ -4,8 +4,8 @@ import time
 
 import pytest
 
-from pathguard import canonicalize, rewrite_canonicalize, validate_raw
-from pathguard.canonical import _canonical_text, _walk
+from pathguard import canonicalize, rewrite_canonicalize, sanitize, validate_raw
+from pathguard.canonical import _canonical_texts, _walk
 from pathguard.model import MAX_PATH_LEN
 
 
@@ -91,7 +91,9 @@ class TestRewriteCanonicalize:
         raw = validate_raw(text)
         assert len(raw) == MAX_PATH_LEN
         walked = "/" + "/".join(_walk(text)[0])
-        assert _canonical_text(text) == walked
+        assert canonicalize(raw) == walked
+        assert sanitize(raw, (walked,))
+        assert list(_canonical_texts((text,))) == [walked]
         assert rewrite_canonicalize(raw) == walked
 
     def test_runs_unwind_to_the_root(self):

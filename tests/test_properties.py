@@ -19,7 +19,7 @@ from pathguard import (
     underflows,
     validate_raw,
 )
-from pathguard.canonical import _canonical_text, _walk
+from pathguard.canonical import _canonical_texts, _walk
 
 # Small alphabets keep the interesting collisions ("." vs ".." vs names)
 # dense; a wide-unicode strategy covers the arbitrary-bytes claim.
@@ -71,7 +71,10 @@ def test_oracle_equivalence_on_arbitrary_text(text):
 def test_fast_path_equals_the_walk_on_arbitrary_text(text):
     raw = validate_raw(text)
     stack, ignored = _walk(raw)
-    assert _canonical_text(raw) == "/" + "/".join(stack)
+    walked = "/" + "/".join(stack)
+    assert canonicalize(raw) == walked
+    assert sanitize(raw, (walked,))
+    assert list(_canonical_texts((raw,))) == [walked]
     assert underflows(raw) == ignored
 
 

@@ -18,8 +18,15 @@ from pathguard import (
     verify_no_residue,
 )
 from pathguard import verifier as verifier_module
-from pathguard.canonical import _canonical_text
+from pathguard.canonical import _canonical_texts
 from pathguard.verifier import _BLOCK, _blocks, _sharded
+
+
+def _formula(text):
+    """The canonical text of one string, from the bulk form the sweeps
+    use, which these tests then patch."""
+    (out,) = _canonical_texts((text,))
+    return out
 
 
 def _strings(spec, start=0, stop=None):
@@ -212,7 +219,7 @@ class TestVerifyNoResidue:
         def faulty(text):
             if text in ("a/.", "a/.."):
                 return "/" + text
-            return _canonical_text(text)
+            return _formula(text)
 
         monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(faulty))
         found = verify_no_residue(EnumerationSpec(alphabet="/.a", max_len=4))
@@ -278,7 +285,7 @@ def _faulty_canonical_text(text):
     # Leaves a trailing "/" on every non-root output of an input that ends
     # in "/a": the faulty strings are spread over the whole rank order, so
     # they fall in every shard.
-    out = _canonical_text(text)
+    out = _formula(text)
     if out != "/" and text.endswith("/a"):
         return out + "/"
     return out
@@ -397,6 +404,17 @@ class TestSharding:
     BLOCK_SPEC = EnumerationSpec(alphabet="/.ab", max_len=7)
     BLOCK_FIRSTS = [0, 1, 5, 21, 85, 341, 1365, 5461, 9557, 13653, 17749, 21845]
 
+    def _edges(self, n):
+        """The ranks of each block's first and last string in BLOCK_SPEC,
+        and of the strings on both sides of each cut for n CPUs."""
+        cuts = _cuts(total_count(self.BLOCK_SPEC), n)
+        firsts, inner = self.BLOCK_FIRSTS, cuts[1:-1]
+        sizes = [len(suffixes) for _, suffixes in _blocks(self.BLOCK_SPEC)]
+        assert list(itertools.accumulate(sizes, initial=0)) == firsts
+        assert n == 1 or set(inner) - set(firsts)
+        starts = firsts[:-1] + inner
+        return sorted({*starts, *(rank - 1 for rank in firsts[1:] + inner)})
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_faults_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
         # The residue sweep checks a block of outputs at once and walks only
@@ -408,13 +426,7 @@ class TestSharding:
         # reports them, in shortlex order.
         spec = self.BLOCK_SPEC
         strings = _strings(spec)
-        cuts = _cuts(len(strings), n)
-        firsts, inner = self.BLOCK_FIRSTS, cuts[1:-1]
-        sizes = [len(suffixes) for _, suffixes in _blocks(spec)]
-        assert list(itertools.accumulate(sizes, initial=0)) == firsts
-        assert n == 1 or set(inner) - set(firsts)
-        starts = firsts[:-1] + inner
-        edges = sorted({*starts, *(rank - 1 for rank in firsts[1:] + inner)})
+        edges = self._edges(n)
         faults = [
             lambda out: out + "/",
             lambda out: "x" + out,
@@ -424,10 +436,10 @@ class TestSharding:
         planted = {}
         for i, rank in enumerate(edges):
             text = strings[rank]
-            planted[text] = faults[i % len(faults)](_canonical_text(text))
+            planted[text] = faults[i % len(faults)](_formula(text))
 
         def faulty(text):
-            return planted.get(text) or _canonical_text(text)
+            return planted.get(text) or _formula(text)
 
         want = []
         for text in strings:
@@ -444,6 +456,31 @@ class TestSharding:
         _cpus(monkeypatch, n)
         found = verify_no_residue(spec)
         assert [(v.input, v.output, v.offending) for v in found] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_preimages_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
+        # The preimage check scans a block's outputs for the target at once
+        # and lists the hits only in a block that holds one. Hits planted at
+        # each block's first and last string and on both sides of each
+        # shard cut, beside the real preimages, must come out exactly as a
+        # walk of every string finds them, in shortlex order. The oracle is
+        # made to agree with the planted hits, so that only the listing is
+        # under test.
+        spec = self.BLOCK_SPEC
+        strings = _strings(spec)
+        target = CanonicalPath("/a/b")
+        planted = {strings[rank] for rank in self._edges(n)}
+
+        def faulty(text):
+            return target.text if text in planted else _formula(text)
+
+        want = [text for text in strings if faulty(text) == target]
+        assert planted < set(want)
+
+        monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(faulty))
+        monkeypatch.setattr(verifier_module, "rewrite_canonicalize", faulty)
+        _cpus(monkeypatch, n)
+        assert preimages_of(spec, target) == want
 
     def test_a_clean_block_is_not_walked(self, monkeypatch):
         # Every block of a clean sweep passes the bulk check, so no string of
@@ -507,7 +544,7 @@ class TestSharding:
         def dying(text):
             if os.getpid() != caller:
                 os._exit(3)
-            return _canonical_text(text)
+            return _formula(text)
 
         monkeypatch.setattr(verifier_module, "_canonical_texts", _bulk(dying))
         _cpus(monkeypatch, 2)
