@@ -3,13 +3,15 @@
 Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
-1 denied or violations found, 2 usage or input error; over a batch, 2 if any
-line failed outranks 1 if any line was denied. ``diff`` exits 1 only when
-traversal residue survives in a baseline output; a ``bottom_up_reach``
-record alone is reported but leaves the exit code at 0. All behavior is
-flag-driven; there is no environment or config-file state, and stdin and
-stdout are read and written as UTF-8 with surrogateescape whatever the
-locale, so one set of input bytes always gets the same answer bytes.
+1 denied or violations found, 2 usage or input error or a ``verify`` sweep
+that failed (a shard, fork or pipe failed, or the oracle disagreed); over a
+batch, 2 if any line failed outranks 1 if any line was denied. ``diff``
+exits 1 only when traversal residue survives in a baseline output; a
+``bottom_up_reach`` record alone is reported but leaves the exit code at 0.
+All behavior is flag-driven; there is no environment or config-file
+state, and stdin and stdout are read and written as UTF-8 with
+surrogateescape whatever the locale, so one set of input bytes always gets
+the same answer bytes.
 """
 
 from __future__ import annotations
@@ -263,7 +265,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             doc = {"mode": "preimages", "target": target, "preimages": found}
             doc["summary"] = {"visited": total_count(spec), "count": len(found)}
             lines = [*found, f"{len(found)} preimages of {target}"]
-    except ValueError as exc:
+    except (ValueError, RuntimeError, AssertionError, OSError) as exc:
+        # A failed shard, fork or pipe, or an oracle divergence, is a failed
+        # sweep, not a violation found.
         return _fail(str(exc))
     _report(args, doc, lines, started)
     return EXIT_DENIED if args.target is None and found else EXIT_OK

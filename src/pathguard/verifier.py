@@ -3,10 +3,10 @@
 Instead of symbolic execution, every string over a small alphabet (which
 holds no NUL) up to a length bound is enumerated in shortlex order and
 pushed, as plain text, through ``_canonical_texts``, the bulk form of the
-formula that computes every decision's text: the residue sweep certifies that no traversal characters
-survive in any output, and the preimage search lists every input that
-reaches a chosen canonical target (cross-checked against the independent
-rewriting oracle).
+formula that computes every decision's text: the residue sweep certifies
+that no traversal characters survive in any output, and the preimage
+search lists every input that reaches a chosen canonical target
+(cross-checked against the independent rewriting oracle).
 
 A sweep visits at most ``MAX_SWEEP`` (2,000,000) strings; a larger space
 is refused with :class:`BudgetExceeded` before any string is visited. The
@@ -14,25 +14,26 @@ limit is fixed: no flag or argument raises it. Over the default "/.abc",
 ``max_len`` 8 (488,281 strings) runs and 9 (2,441,406) is refused.
 
 One enumerator, ``_blocks``, walks the shortlex order a prefix block at a
-time and yields any contiguous range of its ranks. A block is a pair
-``(prefix, suffixes)`` that stands for the strings ``prefix + suffix``, in
-the list's order. ``suffixes`` is every string of the longest length ``s``
-with ``len(alphabet) ** s <= _BLOCK`` (4,096): 3,125 strings over "/.abc",
-4,096 over "/.ab". It is built once per range and shared by every block
-of a length of ``s`` or more, whose prefix is one string of the remaining
-length; each length below ``s`` is one block of its own, with prefix "".
-The list is sliced only where a range starts or ends inside a block. A
-sweep is a check of one block: a function from a prefix and its suffixes
-to the findings among their strings, in order. ``_sharded``
-cuts the ranks into one range per CPU in the process's affinity mask,
-whose sizes differ by at most one string. The caller runs the first range,
-the smallest, itself (so a one-CPU mask forks nothing) and forks a child
-for each other range, takes each child's findings back over a pipe with
-:mod:`marshal`, and concatenates them in range order, which is shortlex
-order: the result, its order, and the first divergence reported are the
-same whatever the CPU count. A shard runs only the pure-Python checks and
-ends in ``os._exit``, so it never runs the caller's exit handlers or
-flushes its buffers.
+time. A block is a pair ``(prefix, suffixes)`` that stands for the strings
+``prefix + suffix``, in the list's order. ``suffixes`` is every string of
+the longest length ``s`` with ``len(alphabet) ** s <= _BLOCK`` (4,096):
+3,125 strings over "/.abc", 4,096 over "/.ab". It is built once per sweep
+and shared by every block of a length of ``s`` or more, whose prefix is
+one string of the remaining length; each length below ``s`` is one block
+of its own, with prefix "". No block is ever sliced. A sweep is a check
+of one block: a function from a prefix and its suffixes to the findings
+among their strings, in order. ``_sharded`` lists the blocks once and
+cuts the list at block edges into at most one range per CPU in the
+process's affinity mask: cut ``i`` is the last edge at or before string
+``count * i // n``, less than one block before it, so a space with fewer
+blocks than CPUs, or with a block longer than two shares, runs fewer
+ranges. The caller runs the first range itself (so a one-CPU mask forks
+nothing) and forks a child for each other range, takes each child's
+findings back over a pipe with :mod:`marshal`, and concatenates them in
+range order, which is shortlex order: the result, its order, and the first
+divergence reported are the same whatever the CPU count. A shard runs
+only the pure-Python checks and ends in ``os._exit``, so it never runs the
+caller's exit handlers or flushes its buffers.
 
 One runner, in the caller and in each child alike, hands its range to the
 check a block at a time and counts the strings it hands out; ``_sharded``
@@ -56,7 +57,8 @@ from __future__ import annotations
 
 import marshal
 import os
-from itertools import compress, islice, product
+from bisect import bisect_right
+from itertools import accumulate, compress, product
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Tuple
 
 from .canonical import _canonical_texts
@@ -138,32 +140,20 @@ def _words(alphabet: str, length: int) -> List[str]:
     return list(map("".join, product(alphabet, repeat=length)))
 
 
-def _blocks(
-    spec: EnumerationSpec, start: int = 0, stop: int | None = None
-) -> Iterator[Block]:
-    """The strings of shortlex rank ``start`` up to ``stop`` (shorter
-    strings first, each length in alphabet order) as blocks ``(prefix,
-    suffixes)``; see the module docstring. The one enumerator; every walk
-    over the space, whole or in shards, takes its strings from here."""
+def _blocks(spec: EnumerationSpec) -> Iterator[Block]:
+    """Every string of the space in shortlex order (shorter strings first,
+    each length in alphabet order) as blocks ``(prefix, suffixes)``; see the
+    module docstring. The one enumerator; every walk over the space, whole
+    or in shards, takes its strings from here."""
     alphabet, k = spec.alphabet, len(spec.alphabet)
     width = 0
     while k ** (width + 1) <= _BLOCK:
         width += 1
     suffixes = _words(alphabet, width)
-    if stop is None:
-        stop = total_count(spec)
-    rank = 0  # of the first string of the block at hand
     for length in range(spec.max_len + 1):
         tail = suffixes if length >= width else _words(alphabet, length)
-        size, heads = len(tail), max(length - width, 0)
-        skip = min(max(start - rank, 0) // size, k**heads)
-        rank += skip * size
-        for head in islice(product(alphabet, repeat=heads), skip, None):
-            if max(rank, start) >= stop:
-                return
-            lo, hi = max(start - rank, 0), min(stop - rank, size)
-            yield "".join(head), tail if hi - lo == size else tail[lo:hi]
-            rank += size
+        for head in product(alphabet, repeat=max(length - width, 0)):
+            yield "".join(head), tail
 
 
 def enumerate_all(spec: EnumerationSpec, visit: Callable[[str], None]) -> int:
@@ -189,7 +179,7 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run(check: Check, blocks: Iterator[Block]) -> ShardResult:
+def _run(check: Check, blocks: List[Block]) -> ShardResult:
     """Hand ``blocks`` to ``check`` one at a time. Returns how many strings
     it handed out, and the findings concatenated in order."""
     visited, findings = 0, []
@@ -199,7 +189,7 @@ def _run(check: Check, blocks: Iterator[Block]) -> ShardResult:
     return visited, findings
 
 
-def _fork_shard(check: Check, blocks: Iterator[Block]) -> Tuple[int, BinaryIO]:
+def _fork_shard(check: Check, blocks: List[Block]) -> Tuple[int, BinaryIO]:
     """Start a child that runs the check over the blocks; returns its pid
     and result pipe."""
     rfd, wfd = os.pipe()
@@ -241,8 +231,8 @@ def _reap(pid: int, data: bytes) -> ShardResult:
 
 
 def _sharded(spec: EnumerationSpec, check: Check) -> list:
-    """Run ``check`` over every string, one rank range per CPU this process
-    may use, each range a block at a time.
+    """Run ``check`` over every block, in at most one range of whole blocks
+    per CPU this process may use.
 
     Returns the findings of all ranges, concatenated in shortlex order.
 
@@ -253,16 +243,19 @@ def _sharded(spec: EnumerationSpec, check: Check) -> list:
             string exactly once.
     """
     count = _checked_count(spec)
-    n = min(_cpu_count(), count)
-    cuts = [count * i // n for i in range(n + 1)]
+    blocks = list(_blocks(spec))
+    ends = list(accumulate(len(suffixes) for _, suffixes in blocks))
+    n = _cpu_count()
+    # Cut i is the number of blocks that end at or before string count*i//n.
+    cuts = list(dict.fromkeys(bisect_right(ends, count * i // n) for i in range(n + 1)))
     results: List[ShardResult] = []
     children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_shard(check, _blocks(spec, lo, hi)))
-        # The caller also forks and merges, so it runs the first range,
-        # which is the smallest.
-        results.append(_run(check, _blocks(spec, 0, cuts[1])))
+            children.append(_fork_shard(check, blocks[lo:hi]))
+        # The caller also forks and merges, so it runs the first range: at
+        # most its share, count // n strings, or the one-string first block.
+        results.append(_run(check, blocks[: cuts[1]]))
         while children:
             pid, pipe = children[0]
             data = pipe.read()

@@ -1,13 +1,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import pathguard
-from pathguard import canonical, canonicalize, underflows, validate_raw
+from pathguard import CanonicalPath, canonical, canonicalize, underflows, validate_raw
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_texts
 from pathguard.cli import BLOCK_LINES, main
@@ -651,6 +652,63 @@ class TestVerify:
             ],
             "summary": {"visited": 13, "violations": 1},
         })
+
+    # A sweep that fails has found no violation: it exits 2, with one line.
+    SWEEP = ("verify", "--max-len", "6", "--alphabet", "/.ab")
+
+    @staticmethod
+    def _cpus(monkeypatch, n):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_sweep_one_string_short_exits_2(self, capsys, monkeypatch, n):
+        # The last block, a child's on 2 CPUs, loses a string.
+        blocks = verifier_module._blocks
+
+        def short(spec):
+            *head, (prefix, suffixes) = blocks(spec)
+            return [*head, (prefix, suffixes[:-1])]
+
+        monkeypatch.setattr(verifier_module, "_blocks", short)
+        self._cpus(monkeypatch, n)
+        assert run(capsys, *self.SWEEP) == (
+            2, "", "pathguard: shards visited 5460 of 5461 strings\n"
+        )
+
+    def test_a_failed_shard_exits_2(self, capsys, monkeypatch):
+        # Only children call os._exit here; each sends its result, then exits 7.
+        exit_now = os._exit
+        monkeypatch.setattr(os, "_exit", lambda status: exit_now(7))
+        self._cpus(monkeypatch, 2)
+        code, out, err = run(capsys, *self.SWEEP)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            r"pathguard: verifier shard \d+ exited with status 7"
+            r" after sending \d+ bytes\n",
+            err,
+        )
+
+    def test_a_failed_fork_exits_2(self, capsys, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self._cpus(monkeypatch, 2)
+        assert run(capsys, *self.SWEEP) == (
+            2, "", "pathguard: [Errno 11] Resource temporarily unavailable\n"
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_oracle_divergence_exits_2(self, capsys, monkeypatch, n):
+        monkeypatch.setattr(
+            verifier_module, "rewrite_canonicalize", lambda raw: CanonicalPath("/x")
+        )
+        self._cpus(monkeypatch, n)
+        assert run(capsys, *self.SWEEP, "--target", "/a") == (
+            2, "", "pathguard: oracle divergence on 'a': stack says '/a'\n"
+        )
 
 
 class TestDiff:

@@ -29,9 +29,9 @@ def _formula(text):
     return out
 
 
-def _strings(spec, start=0, stop=None):
-    """The strings of ``_blocks(spec, start, stop)``, flattened."""
-    return [p + s for p, suffixes in _blocks(spec, start, stop) for s in suffixes]
+def _strings(spec):
+    """The strings of ``_blocks(spec)``, flattened."""
+    return [p + s for p, suffixes in _blocks(spec) for s in suffixes]
 
 
 def _bulk(canonical_text):
@@ -85,10 +85,13 @@ class TestEnumerateAll:
     def test_shortlex_order_and_uniqueness(self):
         visited = []
         spec = EnumerationSpec(alphabet="/.a", max_len=3)
-        enumerate_all(spec, visited.append)
-        assert len(visited) == len(set(visited)) == total_count(spec)
-        lengths = [len(s) for s in visited]
-        assert lengths == sorted(lengths)
+        assert enumerate_all(spec, visited.append) == total_count(spec) == 40
+        assert len(set(visited)) == 40
+        assert visited == [
+            "".join(chars)
+            for length in range(spec.max_len + 1)
+            for chars in itertools.product(spec.alphabet, repeat=length)
+        ]
 
     def test_closed_form_default_spec(self):
         # Sum of 5^k for k in 0..8 == (5^9 - 1) / 4.
@@ -133,36 +136,12 @@ BLOCK_ALPHABETS = [
 BLOCK_IDS = [str(len(alphabet)) for alphabet, _ in BLOCK_ALPHABETS]
 
 
-def _cut(blocks, firsts, lo, hi):
-    """``blocks``, whose first strings have the ranks ``firsts``, cut to the
-    ranks ``lo`` up to ``hi``."""
-    cut = []
-    for (prefix, suffixes), first in zip(blocks, firsts):
-        last = first + len(suffixes)
-        if lo < last and first < hi:
-            whole = lo <= first and last <= hi
-            cut.append((prefix, suffixes if whole else suffixes[max(lo - first, 0) : hi - first]))
-    return cut
-
-
 class TestBlocks:
-    """``_blocks`` yields the shortlex order a prefix block at a time."""
-
-    @staticmethod
-    def _ranges_equal_the_whole_cut(spec, whole, cuts):
-        """Each range of ``cuts`` yields ``whole``, the blocks of the whole
-        space, cut to the range."""
-        sizes = [len(suffixes) for _, suffixes in whole]
-        firsts, longest = list(itertools.accumulate(sizes, initial=0)), max(sizes)
-        for lo, hi in zip(cuts, cuts[1:]):
-            blocks = list(_blocks(spec, lo, hi))
-            assert blocks == _cut(whole, firsts, lo, hi)
-            assert all(0 < len(suffixes) <= _BLOCK for _, suffixes in blocks)
-            # One suffix list serves every whole block of the longest suffixes.
-            assert len({id(s) for _, s in blocks if len(s) == longest}) <= 1
+    """``_blocks`` yields the shortlex order a prefix block at a time, and
+    ``_sharded`` cuts it into ranges of whole blocks."""
 
     @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
-    def test_blocks_flatten_to_shortlex_order_in_every_shard(self, alphabet, width):
+    def test_blocks_flatten_to_shortlex_order(self, alphabet, width):
         k = len(alphabet)
         assert k**width <= _BLOCK < k ** (width + 1)
         for max_len in range(width + 3):
@@ -184,26 +163,43 @@ class TestBlocks:
                 for length in range(max_len + 1)
                 for _ in range(k ** max(length - width, 0))
             ]
-            count = total_count(spec)
-            for n in range(1, 5):
-                cuts = _cuts(count, min(n, count))
-                self._ranges_equal_the_whole_cut(spec, whole, cuts)
+            # One suffix list serves every block of the longest suffixes.
+            assert len({id(s) for _, s in whole if len(s) == k**width}) <= 1
 
     @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
-    def test_ranges_cut_one_rank_beside_a_block_edge(self, alphabet, width):
-        # Each length's first rank is an edge, and so are the second and the
-        # last prefix block of a length longer than the suffixes. A range
-        # ends or starts one rank either side of it.
-        k, max_len = len(alphabet), width + 2
-        spec = EnumerationSpec(alphabet, max_len)
-        whole = list(_blocks(spec))
-        firsts = [(k**length - 1) // (k - 1) for length in range(max_len + 2)]
-        edges = firsts[1:-1]
-        for length in range(width + 1, max_len + 1):
-            edges += [firsts[length] + k**width, firsts[length + 1] - k**width]
-        for edge in edges:
-            cuts = [max(edge - 1 - _BLOCK, 0), edge - 1, edge + 1, edge + 1 + _BLOCK]
-            self._ranges_equal_the_whole_cut(spec, whole, cuts)
+    def test_ranges_are_whole_blocks_cut_at_each_share(self, monkeypatch, alphabet, width):
+        # Each block's one finding names the process that checked it, so the
+        # findings show the ranges in order. The caller also forks and
+        # merges, so it runs the first range, which holds no more than its
+        # share; with more CPUs than strings, that is the first block alone.
+        caller, forked = os.getpid(), []
+        fork_shard = verifier_module._fork_shard
+
+        def fork(check, blocks):
+            forked.append(blocks)
+            return fork_shard(check, blocks)
+
+        def check(prefix, suffixes):
+            return [(os.getpid(), prefix, len(suffixes))]
+
+        monkeypatch.setattr(verifier_module, "_fork_shard", fork)
+        for max_len in range(width + 3):
+            spec = EnumerationSpec(alphabet, max_len)
+            whole = [(p, len(s)) for p, s in _blocks(spec)]
+            count = total_count(spec)
+            for n in range(1, 6):
+                forked.clear()
+                _cpus(monkeypatch, n)
+                found = _sharded(spec, check)
+                assert [(p, size) for _, p, size in found] == whole
+                ranges = [
+                    [size for *_, size in blocks]
+                    for _, blocks in itertools.groupby(found, operator.itemgetter(0))
+                ]
+                assert found[0][0] == caller and len(forked) == len(ranges) - 1
+                sizes = list(map(sum, ranges))
+                assert list(itertools.accumulate(sizes, initial=0)) == _cuts(spec, n)
+                assert sizes[0] <= max(count // n, 1)
 
 
 class TestVerifyNoResidue:
@@ -291,9 +287,12 @@ def _faulty_canonical_text(text):
     return out
 
 
-def _cuts(count, n):
-    """The rank ranges' bounds as the sweeps cut them for n CPUs."""
-    return [count * i // n for i in range(n + 1)]
+def _cuts(spec, n):
+    """The ranks at which the sweeps cut the space for n CPUs: for each i
+    up to n, the last block edge at or before count * i // n, once each."""
+    edges = list(itertools.accumulate((len(s) for _, s in _blocks(spec)), initial=0))
+    shares = [edges[-1] * i // n for i in range(n + 1)]
+    return sorted({max(e for e in edges if e <= share) for share in shares})
 
 
 def _rank(spec, text):
@@ -301,64 +300,9 @@ def _rank(spec, text):
 
 
 class TestSharding:
-    """The sweeps split the ranks across CPUs; nothing else may change."""
+    """The sweeps split the blocks across CPUs; nothing else may change."""
 
     SPEC = EnumerationSpec(alphabet="/.ab", max_len=6)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_rank_ranges_concatenate_to_shortlex_order(self, monkeypatch, n):
-        spec = EnumerationSpec(alphabet="/.a", max_len=5)
-        want = [
-            "".join(chars)
-            for length in range(spec.max_len + 1)
-            for chars in itertools.product(spec.alphabet, repeat=length)
-        ]
-        visited = []
-        assert enumerate_all(spec, visited.append) == total_count(spec) == 364
-        assert visited == want
-        cuts = _cuts(364, n)
-        ranges = [_strings(spec, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-        assert [s for strings in ranges for s in strings] == want
-        sizes = [len(strings) for strings in ranges]
-        assert max(sizes) - min(sizes) <= 1
-        # The sweeps cut the same ranges and concatenate their findings in
-        # order. Over "/.a" the suffixes are 7 long, so below that every
-        # length is one block with prefix "", cut where a range is cut: a
-        # check whose one finding is its block returns each range's strings
-        # split at the lengths.
-        blocks = [
-            [s for s in strings if len(s) == length]
-            for strings in ranges
-            for length in sorted(set(map(len, strings)))
-        ]
-        _cpus(monkeypatch, n)
-        found = _sharded(spec, lambda prefix, suffixes: [(prefix, suffixes)])
-        assert [prefix for prefix, _ in found] == [""] * len(blocks)
-        assert [suffixes for _, suffixes in found] == blocks
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_caller_runs_the_first_and_smallest_range(self, monkeypatch, n):
-        # The caller also forks and merges, so it must not take the most work.
-        # A child's calls land in its own copy of these lists, so the caller
-        # sees only the range it ran itself.
-        spec = EnumerationSpec()
-        count = total_count(spec)
-        caller, forked = [], []
-        fork_shard = verifier_module._fork_shard
-
-        def fork(check, blocks):
-            forked.append(blocks)
-            return fork_shard(check, blocks)
-
-        def check(prefix, suffixes):
-            caller.extend(map(prefix.__add__, suffixes))
-            return []
-
-        monkeypatch.setattr(verifier_module, "_fork_shard", fork)
-        _cpus(monkeypatch, n)
-        assert _sharded(spec, check) == []
-        assert len(forked) == n - 1
-        assert caller == _strings(spec, 0, count // n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_preimages_independent_of_cpu_count(self, monkeypatch, n):
@@ -390,10 +334,10 @@ class TestSharding:
         _cpus(monkeypatch, n)
         found = verify_no_residue(self.SPEC)
         assert [(v.input, v.output, v.offending) for v in found] == plain
-        # Faulty strings lie in every shard's rank range.
+        # Faulty strings lie in every shard's range.
         faulty = {v.input for v in found}
         ranks = [r for r, text in enumerate(_strings(self.SPEC)) if text in faulty]
-        cuts = _cuts(total_count(self.SPEC), n)
+        cuts = _cuts(self.SPEC, n)
         for lo, hi in zip(cuts, cuts[1:]):
             assert any(lo <= r < hi for r in ranks)
 
@@ -406,23 +350,20 @@ class TestSharding:
 
     def _edges(self, n):
         """The ranks of each block's first and last string in BLOCK_SPEC,
-        and of the strings on both sides of each cut for n CPUs."""
-        cuts = _cuts(total_count(self.BLOCK_SPEC), n)
-        firsts, inner = self.BLOCK_FIRSTS, cuts[1:-1]
+        which are the strings on both sides of each cut for n CPUs."""
+        firsts = self.BLOCK_FIRSTS
         sizes = [len(suffixes) for _, suffixes in _blocks(self.BLOCK_SPEC)]
         assert list(itertools.accumulate(sizes, initial=0)) == firsts
-        assert n == 1 or set(inner) - set(firsts)
-        starts = firsts[:-1] + inner
-        return sorted({*starts, *(rank - 1 for rank in firsts[1:] + inner)})
+        assert set(_cuts(self.BLOCK_SPEC, n)) <= set(firsts)
+        return sorted({*firsts[:-1], *(rank - 1 for rank in firsts[1:])})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_faults_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
         # The residue sweep checks a block of outputs at once and walks only
         # a failing block string by string. Faults planted at each block's
         # first and last string (which puts them on both sides of every
-        # length boundary and at a prefix block's first and last suffix) and
-        # on both sides of each shard cut, which for n of 2 or more lies
-        # inside a block, must come out exactly as a walk of every string
+        # length boundary and shard cut, and at a prefix block's first and
+        # last suffix) must come out exactly as a walk of every string
         # reports them, in shortlex order.
         spec = self.BLOCK_SPEC
         strings = _strings(spec)
@@ -461,7 +402,7 @@ class TestSharding:
     def test_preimages_at_block_edges_found_as_one_by_one(self, monkeypatch, n):
         # The preimage check scans a block's outputs for the target at once
         # and lists the hits only in a block that holds one. Hits planted at
-        # each block's first and last string and on both sides of each
+        # each block's first and last string, and so on both sides of each
         # shard cut, beside the real preimages, must come out exactly as a
         # walk of every string finds them, in shortlex order. The oracle is
         # made to agree with the planted hits, so that only the listing is
@@ -499,14 +440,14 @@ class TestSharding:
 
     # Over "/.a" up to length 3 (40 strings), the preimages of "/a" are, in
     # shortlex order: "a", "/a", "a/", "//a", "/a/", "./a", "a//" and "a/.".
-    # "./a" has rank 24, so it lies in a child's range for n = 2, 3 and 4.
+    # Each length is one block, so for n up to 4 the only cuts are at ranks
+    # 4 and 13: "./a", of rank 24, lies in a child's range for n of 2 to 4.
     PREIMAGE_SPEC = EnumerationSpec(alphabet="/.a", max_len=3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_divergence_in_child_shard_raises_in_caller(self, monkeypatch, n):
-        # The oracle disagrees on "./a" and on "a//", which lies in a later
-        # range for n = 3 and 4. The first in shortlex order, "./a", must be
-        # reported.
+        # The oracle disagrees on "./a" and on "a//". The first in shortlex
+        # order, "./a", must be reported.
         spec = self.PREIMAGE_SPEC
         assert _rank(spec, "./a") == 24 and _rank(spec, "a//") == 31
 
@@ -526,7 +467,7 @@ class TestSharding:
         # "./a" is in a child's range when n is 2 or more; the oracle's own
         # error must not turn into a failed shard.
         spec = self.PREIMAGE_SPEC
-        assert n == 1 or _rank(spec, "./a") >= total_count(spec) // n
+        assert n == 1 or _rank(spec, "./a") >= _cuts(spec, n)[1]
 
         def failing_oracle(raw):
             if raw == "./a":
@@ -561,13 +502,14 @@ class TestSharding:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_range_one_string_short_raises_runtime_error(self, monkeypatch, n):
-        # The last range, a child's when n is 2, yields one string fewer;
+        # The last block, a child's when n is 2, holds one string fewer;
         # the count its runner sends back must give it away.
         count = total_count(self.SPEC)
         blocks = verifier_module._blocks
 
-        def short(spec, start, stop):
-            return blocks(spec, start, stop - 1 if stop == count else stop)
+        def short(spec):
+            *head, (prefix, suffixes) = blocks(spec)
+            return [*head, (prefix, suffixes[:-1])]
 
         monkeypatch.setattr(verifier_module, "_blocks", short)
         _cpus(monkeypatch, n)
@@ -583,6 +525,10 @@ class TestSharding:
         monkeypatch.setattr(os, "fork", no_fork)
 
     def test_budget_checked_before_any_fork(self, monkeypatch):
+        def no_blocks(spec):
+            raise AssertionError("blocks built")
+
+        monkeypatch.setattr(verifier_module, "_blocks", no_blocks)
         self._forbid_fork(monkeypatch)
         _cpus(monkeypatch, 2)
         with pytest.raises(BudgetExceeded):
