@@ -166,8 +166,9 @@ class TestBlocks:
             # One suffix list serves every block of the longest suffixes.
             assert len({id(s) for _, s in whole if len(s) == k**width}) <= 1
 
+    @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
-    def test_ranges_are_whole_blocks_cut_at_each_share(self, monkeypatch, alphabet, width):
+    def test_ranges_are_whole_blocks_cut_at_each_share(self, monkeypatch, alphabet, width, n):
         # Each block's one finding names the process that checked it, so the
         # findings show the ranges in order. The caller also forks and
         # merges, so it runs the first range, which holds no more than its
@@ -183,23 +184,22 @@ class TestBlocks:
             return [(os.getpid(), prefix, len(suffixes))]
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
+        _cpus(monkeypatch, n)
         for max_len in range(width + 3):
             spec = EnumerationSpec(alphabet, max_len)
             whole = [(p, len(s)) for p, s in _blocks(spec)]
             count = total_count(spec)
-            for n in range(1, 6):
-                forked.clear()
-                _cpus(monkeypatch, n)
-                found = _sharded(spec, check)
-                assert [(p, size) for _, p, size in found] == whole
-                ranges = [
-                    [size for *_, size in blocks]
-                    for _, blocks in itertools.groupby(found, operator.itemgetter(0))
-                ]
-                assert found[0][0] == caller and len(forked) == len(ranges) - 1
-                sizes = list(map(sum, ranges))
-                assert list(itertools.accumulate(sizes, initial=0)) == _cuts(spec, n)
-                assert sizes[0] <= max(count // n, 1)
+            forked.clear()
+            found = _sharded(spec, check)
+            assert [(p, size) for _, p, size in found] == whole
+            ranges = [
+                [size for *_, size in blocks]
+                for _, blocks in itertools.groupby(found, operator.itemgetter(0))
+            ]
+            assert found[0][0] == caller and len(forked) == len(ranges) - 1
+            sizes = list(map(sum, ranges))
+            assert list(itertools.accumulate(sizes, initial=0)) == _cuts(spec, n)
+            assert sizes[0] <= max(count // n, 1)
 
 
 class TestVerifyNoResidue:
