@@ -237,13 +237,54 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _answer_lines(args, lines, root, decide)
 
 
+def _hex(text: object) -> Optional[str]:
+    """The bytes of ``text`` in hex if it is a string that does not encode
+    as UTF-8, else None. Such a string holds an input byte that was not
+    UTF-8, read with surrogateescape as a lone surrogate."""
+    if isinstance(text, str):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return text.encode("utf-8", "surrogateescape").hex()
+    return None
+
+
+def _utf8_fields(doc: dict) -> dict:
+    """``doc`` with each string that does not encode as UTF-8 made null and
+    its bytes put in hex under the sibling key ``<field>_hex``: for a string
+    field, the hex string; for a list field, a list of the same length with
+    the hex at that string's index and null elsewhere. Nested documents, and
+    lists of them, follow the same rule. A document whose strings all
+    encode comes back equal."""
+    out = {}
+    for key, value in doc.items():
+        hexed = None
+        if isinstance(value, dict):
+            value = _utf8_fields(value)
+        elif isinstance(value, (list, tuple)):
+            value = [_utf8_fields(v) if isinstance(v, dict) else v for v in value]
+            hexed = list(map(_hex, value))
+            if any(hexed):
+                value = [None if h else v for v, h in zip(value, hexed)]
+            else:
+                hexed = None
+        elif hexed := _hex(value):
+            value = None
+        out[key] = value
+        if hexed:
+            out[key + "_hex"] = hexed
+    return out
+
+
 def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) -> None:
     """Put the time since ``started`` in ``doc["summary"]``, then print
-    ``doc`` as one JSON line with ``--format structured``, else ``lines``."""
+    ``doc`` as one JSON line with ``--format structured``, else ``lines``.
+    JSON holds text, so a string that is not UTF-8 text goes out as its
+    bytes in hex; see ``_utf8_fields``."""
     doc["summary"]["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "structured":
         import json  # only here: canon and check never load it
-        print(json.dumps(doc))
+        print(json.dumps(_utf8_fields(doc)))
     else:
         print("\n".join(lines))
 

@@ -35,6 +35,19 @@ divergence reported are the same whatever the CPU count. A shard runs
 only the pure-Python checks and ends in ``os._exit``, so it never runs the
 caller's exit handlers or flushes its buffers.
 
+Range ``i`` runs on the ``i``-th CPU id of the sorted mask, alone: each
+child pins itself there before it starts, and the caller, once its
+children are forked, pins itself to the first. A cpuset with load
+balancing off never moves a forked child off its parent's CPU, so without
+the pins every range could share one CPU and a sweep would take as long as
+on one. The caller puts back the mask it read once every child is reaped
+or killed, whether the sweep passed or failed. Placement only affects
+speed: where the kernel refuses a mask, that process runs where it is,
+and where there is no mask nothing is forked or pinned. On 2 CPUs with
+load balancing off, the pins took the default residue sweep from 0.115 to
+0.058 s and the preimages of "/a/b/c" from 0.083 to 0.043 s (medians of
+10 benchmark runs each).
+
 One runner, in the caller and in each child alike, hands its range to the
 check a block at a time and counts the strings it hands out; ``_sharded``
 raises unless the counts add up to the whole space. The residue check
@@ -59,7 +72,8 @@ import marshal
 import os
 from bisect import bisect_right
 from itertools import accumulate, compress, product
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, List
+from typing import NamedTuple, Tuple
 
 from .canonical import _canonical_texts
 from .model import BudgetExceeded, CanonicalPath, RawPathString, _all_canonical, _new
@@ -172,11 +186,21 @@ def enumerate_all(spec: EnumerationSpec, visit: Callable[[str], None]) -> int:
     return count
 
 
-def _cpu_count() -> int:
-    """CPUs in this process's affinity mask; 1 where there is no mask."""
+def _cpus() -> List[int]:
+    """The CPU ids of this process's affinity mask, in order; one entry,
+    which nothing is pinned to, where there is no mask."""
     if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+        return [0]
+    return sorted(os.sched_getaffinity(0))
+
+
+def _pin(cpus: Iterable[int]) -> None:
+    """Move this process onto ``cpus``. Placement only affects speed, so a
+    refusal leaves the process where it is."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def _run(check: Check, blocks: List[Block]) -> ShardResult:
@@ -189,9 +213,9 @@ def _run(check: Check, blocks: List[Block]) -> ShardResult:
     return visited, findings
 
 
-def _fork_shard(check: Check, blocks: List[Block]) -> Tuple[int, BinaryIO]:
-    """Start a child that runs the check over the blocks; returns its pid
-    and result pipe."""
+def _fork_shard(check: Check, blocks: List[Block], cpu: int) -> Tuple[int, BinaryIO]:
+    """Start a child that runs the check over the blocks on CPU ``cpu``;
+    returns its pid and result pipe."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -203,6 +227,7 @@ def _fork_shard(check: Check, blocks: List[Block]) -> Tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(rfd)
+            _pin({cpu})
             data = marshal.dumps(_run(check, blocks))
             with open(wfd, "wb") as out:
                 out.write(data)
@@ -245,14 +270,20 @@ def _sharded(spec: EnumerationSpec, check: Check) -> list:
     count = _checked_count(spec)
     blocks = list(_blocks(spec))
     ends = list(accumulate(len(suffixes) for _, suffixes in blocks))
-    n = _cpu_count()
+    cpus = _cpus()
+    n = len(cpus)
     # Cut i is the number of blocks that end at or before string count*i//n.
     cuts = list(dict.fromkeys(bisect_right(ends, count * i // n) for i in range(n + 1)))
+    forks = len(cuts) > 2
     results: List[ShardResult] = []
     children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
-        for lo, hi in zip(cuts[1:], cuts[2:]):
-            children.append(_fork_shard(check, blocks[lo:hi]))
+        # Range i runs on CPU cpus[i]: where load balancing is off, the
+        # kernel never moves a forked child off its parent's CPU.
+        for cpu, lo, hi in zip(cpus[1:], cuts[1:], cuts[2:]):
+            children.append(_fork_shard(check, blocks[lo:hi], cpu))
+        if forks:
+            _pin({cpus[0]})
         # The caller also forks and merges, so it runs the first range: at
         # most its share, count // n strings, or the one-string first block.
         results.append(_run(check, blocks[: cuts[1]]))
@@ -267,6 +298,8 @@ def _sharded(spec: EnumerationSpec, check: Check) -> list:
             pipe.close()
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
+        if forks:
+            _pin(cpus)
     visited = sum(result[0] for result in results)
     if visited != count:
         raise RuntimeError(f"shards visited {visited} of {count} strings")

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_bytes(monkeypatch, *argv):
+    """``main(argv)`` with stdout on a byte buffer, which keeps output that
+    is not UTF-8 as it is. Returns the exit code and stdout's bytes."""
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr("sys.stdout", stdout)
+    code = main(list(argv))
+    stdout.flush()
+    return code, stdout.buffer.getvalue()
+
+
 def assert_document(out, want):
     """``out`` is ``want`` as one JSON line, byte for byte and key order
     included, whatever its ``elapsed_ms``."""
@@ -27,6 +37,20 @@ def assert_document(out, want):
     assert isinstance(elapsed_ms, int) and elapsed_ms >= 0
     want["summary"]["elapsed_ms"] = elapsed_ms
     assert out == json.dumps(want) + "\n"
+
+
+def _bytes_of(doc, field):
+    """A structured document's ``field`` as bytes: its text in UTF-8 or,
+    where the text is null, the bytes in ``<field>_hex``; for a list field,
+    the list of each string's bytes."""
+
+    def one(text, hexed):
+        return text.encode("utf-8") if text is not None else bytes.fromhex(hexed)
+
+    value, hexed = doc[field], doc.get(field + "_hex")
+    if isinstance(value, list):
+        return list(map(one, value, hexed or [None] * len(value)))
+    return one(value, hexed)
 
 
 class TestCanon:
@@ -619,11 +643,12 @@ class TestVerify:
         )
 
     @staticmethod
-    def _trailing_slash_after_a(monkeypatch):
-        # A faulty canonicalizer: "a/" comes out as "/a/".
+    def _trailing_slash_after_a(monkeypatch, name="a"):
+        # A faulty canonicalizer: name + "/" (by default "a/") comes out
+        # as "/" + name + "/".
         def faulty(text):
             (out,) = _canonical_texts((text,))
-            return out + "/" if text == "a/" else out
+            return out + "/" if text == name + "/" else out
 
         monkeypatch.setattr(
             verifier_module,
@@ -653,14 +678,61 @@ class TestVerify:
             "summary": {"visited": 13, "violations": 1},
         })
 
+    # "\udcff" is the byte 0xff as argv and stdin carry it: not UTF-8, so
+    # JSON gets it in hex. The document reads back to the input bytes.
+    NON_UTF8 = ("verify", "--max-len", "2", "--alphabet", "/.\udcff")
+
+    def test_structured_violations_read_back_to_the_input_bytes(self, monkeypatch):
+        self._trailing_slash_after_a(monkeypatch, "\udcff")
+        code, out = run_bytes(monkeypatch, *self.NON_UTF8, "--format", "structured")
+        assert code == 1
+        assert_document(out.decode("ascii"), {
+            "mode": "no-residue",
+            "violations": [{
+                "input": None, "input_hex": "ff2f",
+                "output": None, "output_hex": "2fff2f",
+                "offending": "trailing-slash",
+            }],
+            "summary": {"visited": 13, "violations": 1},
+        })
+        (violation,) = json.loads(out)["violations"]
+        assert _bytes_of(violation, "input") == b"\xff/"
+        assert _bytes_of(violation, "output") == b"/\xff/"
+
+    def test_structured_preimages_read_back_to_the_input_bytes(self, monkeypatch):
+        argv = (*self.NON_UTF8, "--target", "/\udcff")
+        code, plain = run_bytes(monkeypatch, *argv)
+        assert (code, plain) == (0, b"\xff\n/\xff\n\xff/\n3 preimages of /\xff\n")
+        code, out = run_bytes(monkeypatch, *argv, "--format", "structured")
+        assert code == 0
+        assert_document(out.decode("ascii"), {
+            "mode": "preimages",
+            "target": None,
+            "target_hex": "2fff",
+            "preimages": [None, None, None],
+            "preimages_hex": ["ff", "2fff", "ff2f"],
+            "summary": {"visited": 13, "count": 3},
+        })
+        doc = json.loads(out)
+        assert _bytes_of(doc, "target") == b"/\xff"
+        assert _bytes_of(doc, "preimages") == plain.split(b"\n")[:3]
+
     # A sweep that fails has found no violation: it exits 2, with one line.
     SWEEP = ("verify", "--max-len", "6", "--alphabet", "/.ab")
 
     @staticmethod
     def _cpus(monkeypatch, n):
+        # A fake mask of n CPUs; the setter only records, so it never
+        # reaches the real mask.
+        pinned = []
         monkeypatch.setattr(
             os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
         )
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, cpus: pinned.append(set(cpus)),
+            raising=False,
+        )
+        return pinned
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_sweep_one_string_short_exits_2(self, capsys, monkeypatch, n):
@@ -672,10 +744,12 @@ class TestVerify:
             return [*head, (prefix, suffixes[:-1])]
 
         monkeypatch.setattr(verifier_module, "_blocks", short)
-        self._cpus(monkeypatch, n)
+        pinned = self._cpus(monkeypatch, n)
         assert run(capsys, *self.SWEEP) == (
             2, "", "pathguard: shards visited 5460 of 5461 strings\n"
         )
+        # The failed sweep still put the caller's mask back.
+        assert pinned == ([{0}, {0, 1}] if n == 2 else [])
 
     def test_a_failed_shard_exits_2(self, capsys, monkeypatch):
         # Only children call os._exit here; each sends its result, then exits 7.
@@ -793,6 +867,55 @@ class TestDiff:
             ],
             "summary": {"inputs": 3, "divergences": 2},
         })
+
+    def test_structured_report_reads_back_to_the_input_bytes(self, monkeypatch, tmp_path):
+        # Text that is UTF-8 stays text; a field with a byte that is not
+        # becomes null, with its exact bytes in hex beside it.
+        lines = [b"/\xff../", b"/caf\xc3\xa9/../x\xfe//", b"/caf\xc3\xa9/./b/"]
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"\n".join(lines) + b"\n")
+        code, out = run_bytes(
+            monkeypatch, "diff", "--corpus", str(corpus), "--format", "structured"
+        )
+        assert code == 1
+        assert_document(out.decode("ascii"), {
+            "mode": "diff",
+            "records": [
+                {
+                    "input": None, "input_hex": "2fff2e2e2f",
+                    "baseline_output": None, "baseline_output_hex": "2fff2e2e2f",
+                    "canonical_output": None, "canonical_output_hex": "2fff2e2e",
+                    "residue_found": [".."],
+                    "bottom_up_reach": False,
+                },
+                {
+                    "input": None, "input_hex": "2f636166c3a92f2e2e2f78fe2f2f",
+                    "baseline_output": None, "baseline_output_hex": "2f78fe2f",
+                    "canonical_output": None, "canonical_output_hex": "2f78fe",
+                    "residue_found": [],
+                    "bottom_up_reach": False,
+                },
+                {
+                    "input": "/caf\u00e9/./b/",
+                    "baseline_output": "/caf\u00e9/b/",
+                    "canonical_output": "/caf\u00e9/b",
+                    "residue_found": [],
+                    "bottom_up_reach": False,
+                },
+            ],
+            "summary": {"inputs": 3, "divergences": 3},
+        })
+        records = json.loads(out)["records"]
+        assert [_bytes_of(r, "input") for r in records] == lines
+        # The plain report carries the same bytes.
+        code, plain = run_bytes(monkeypatch, "diff", "--corpus", str(corpus))
+        assert [
+            b"%s | baseline=%s | canonical=%s" % tuple(
+                _bytes_of(r, field)
+                for field in ("input", "baseline_output", "canonical_output")
+            )
+            for r in records
+        ] == [line.rsplit(b" | residue=", 1)[0] for line in plain.split(b"\n")[:3]]
 
     def test_bottom_up_reach_alone_exits_zero(self, capsys, tmp_path):
         # Only residue sets the exit code; a reach is reported, not failed.

@@ -176,27 +176,34 @@ class TestBlocks:
         caller, forked = os.getpid(), []
         fork_shard = verifier_module._fork_shard
 
-        def fork(check, blocks):
-            forked.append(blocks)
-            return fork_shard(check, blocks)
+        def fork(check, blocks, cpu):
+            forked.append(cpu)
+            return fork_shard(check, blocks, cpu)
 
         def check(prefix, suffixes):
             return [(os.getpid(), prefix, len(suffixes))]
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
-        _cpus(monkeypatch, n)
+        # Odd CPU ids from 1, so that no CPU id is its index in the mask.
+        mask = list(range(1, 2 * n, 2))
+        pinned = _fake_mask(monkeypatch, mask)
         for max_len in range(width + 3):
             spec = EnumerationSpec(alphabet, max_len)
             whole = [(p, len(s)) for p, s in _blocks(spec)]
             count = total_count(spec)
             forked.clear()
+            pinned.clear()
             found = _sharded(spec, check)
             assert [(p, size) for _, p, size in found] == whole
             ranges = [
                 [size for *_, size in blocks]
                 for _, blocks in itertools.groupby(found, operator.itemgetter(0))
             ]
-            assert found[0][0] == caller and len(forked) == len(ranges) - 1
+            # Forked range i goes to the mask's CPU i; the caller, which runs
+            # range 0, pins itself to the first CPU only when it forked, and
+            # then puts its mask back.
+            assert found[0][0] == caller and forked == mask[1 : len(ranges)]
+            assert pinned == ([{1}, set(mask)] if forked else [])
             sizes = list(map(sum, ranges))
             assert list(itertools.accumulate(sizes, initial=0)) == _cuts(spec, n)
             assert sizes[0] <= max(count // n, 1)
@@ -272,9 +279,23 @@ class TestPreimagesOf:
 
 
 def _cpus(monkeypatch, n):
+    """Fake an affinity mask of CPUs 0 to n - 1; see ``_fake_mask``."""
+    return _fake_mask(monkeypatch, range(n))
+
+
+def _fake_mask(monkeypatch, cpus):
+    """Fake an affinity mask of the CPU ids ``cpus``. The setter only records
+    the masks it is given, so the fake mask never reaches the real one (a
+    forked child records into its own copy). Returns the record."""
+    pinned = []
     monkeypatch.setattr(
-        os, "sched_getaffinity", lambda pid: set(range(n)), raising=False
+        os, "sched_getaffinity", lambda pid: set(cpus), raising=False
     )
+    monkeypatch.setattr(
+        os, "sched_setaffinity", lambda pid, cpus: pinned.append(set(cpus)),
+        raising=False,
+    )
+    return pinned
 
 
 def _faulty_canonical_text(text):
@@ -536,6 +557,78 @@ class TestSharding:
 
     def test_one_cpu_forks_nothing(self, monkeypatch):
         self._forbid_fork(monkeypatch)
-        _cpus(monkeypatch, 1)
+        pinned = _cpus(monkeypatch, 1)
         assert verify_no_residue(self.SPEC) == []
         assert preimages_of(self.SPEC, CanonicalPath("/a")) != []
+        assert pinned == []
+
+    def test_no_mask_forks_and_pins_nothing(self, monkeypatch):
+        self._forbid_fork(monkeypatch)
+        pinned = _cpus(monkeypatch, 4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert verify_no_residue(self.SPEC) == []
+        assert preimages_of(self.SPEC, CanonicalPath("/a")) != []
+        assert pinned == []
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_refused_pin_changes_no_finding(self, monkeypatch, n):
+        # Placement only affects speed: a mask the kernel refuses, in the
+        # caller and in every child (which inherits the patch), leaves each
+        # process where it is and every finding as on one CPU.
+        monkeypatch.setattr(
+            verifier_module, "_canonical_texts", _bulk(_faulty_canonical_text)
+        )
+        _cpus(monkeypatch, 1)
+        alone = verify_no_residue(self.SPEC)
+        assert alone
+
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+
+        _cpus(monkeypatch, n)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert verify_no_residue(self.SPEC) == alone
+
+
+def _mask():
+    """This process's real affinity mask, in order; [] where there is none."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+@pytest.mark.skipif(len(_mask()) < 2, reason="needs an affinity mask of 2 CPUs or more")
+class TestPlacement:
+    """On the real mask, range i of a sweep runs on the mask's CPU i alone,
+    and the caller gets back the mask it had, whether the sweep passes or
+    fails."""
+
+    # 87,381 strings in 27 blocks, enough for a range on each of 21 CPUs.
+    SPEC = EnumerationSpec(alphabet="/.ab", max_len=8)
+
+    def test_each_range_runs_on_its_own_cpu(self):
+        cpus = _mask()
+
+        def check(prefix, suffixes):
+            return [(os.getpid(), sorted(os.sched_getaffinity(0)))]
+
+        found = _sharded(self.SPEC, check)
+        masks = [
+            {tuple(mask) for _, mask in blocks}
+            for _, blocks in itertools.groupby(found, operator.itemgetter(0))
+        ]
+        assert found[0][0] == os.getpid() and len(masks) >= 2
+        assert masks == [{(cpu,)} for cpu in cpus[: len(masks)]]
+        assert _mask() == cpus
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    def test_the_mask_comes_back_after_a_failed_check(self, where):
+        cpus, caller = _mask(), os.getpid()
+
+        def check(prefix, suffixes):
+            if (os.getpid() == caller) == (where == "caller"):
+                raise ValueError(f"check failed in the {where}")
+            return []
+
+        error = RuntimeError if where == "child" else ValueError
+        with pytest.raises(error):
+            _sharded(self.SPEC, check)
+        assert _mask() == cpus
