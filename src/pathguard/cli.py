@@ -20,6 +20,7 @@ import argparse
 import io
 import sys
 import time
+from contextlib import suppress
 from itertools import count, islice
 from typing import Callable, Iterable, List, Optional, TextIO, Tuple
 
@@ -336,9 +337,19 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _byte_exact(sys.stdout)
-    args = _build_parser().parse_args(argv)
-    return args.run(args)
+    # stdout, and stdin under --stdin, are switched to UTF-8; both get back
+    # their codecs on return or raise, except a stdin main raised in the
+    # middle of: no codec can be set on it, and trying would hide the error.
+    streams = [s for s in (sys.stdout, sys.stdin) if isinstance(s, io.TextIOWrapper)]
+    saved = [(stream, stream.encoding, stream.errors) for stream in streams]
+    try:
+        _byte_exact(sys.stdout)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
+    finally:
+        for stream, encoding, errors in saved:
+            with suppress(io.UnsupportedOperation):
+                stream.reconfigure(encoding=encoding, errors=errors)
 
 
 def run() -> None:

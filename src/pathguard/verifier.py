@@ -22,24 +22,24 @@ and shared by every block of a length of ``s`` or more, whose prefix is
 one string of the remaining length; each length below ``s`` is one block
 of its own, with prefix "". No block is ever sliced. A sweep is a check
 of one block: a function from a prefix and its suffixes to the findings
-among their strings, in order. ``_sharded`` lists the blocks once and
-cuts the list at block edges into at most one range per CPU in the
-process's affinity mask: cut ``i`` is the last edge at or before string
-``count * i // n``, less than one block before it, so a space with fewer
-blocks than CPUs, or with a block longer than two shares, runs fewer
-ranges. The caller runs the first range itself (so a one-CPU mask forks
-nothing) and forks a child for each other range, takes each child's
-findings back over a pipe with :mod:`marshal`, and concatenates them in
-range order, which is shortlex order: the result, its order, and the first
-divergence reported are the same whatever the CPU count. A shard runs
-only the pure-Python checks and ends in ``os._exit``, so it never runs the
+among their strings, in order. ``_sharded`` numbers the blocks and deals
+them out by stride to one shard per CPU in the process's affinity mask,
+but to no more shards than blocks: of ``n`` shards, shard ``i`` checks
+blocks ``i``, ``i + n``, ``i + 2n`` and so on. The caller runs shard 0
+(so one CPU, or one block, forks nothing) and forks a child for each
+other. A shard sends back ``(number, findings)`` for each block that has
+findings, a child over a pipe with :mod:`marshal`, and the caller sorts
+them by number, which is shortlex order: the result, its order, and the
+first divergence reported are the same whatever the CPU count. No process
+lists the blocks or keeps anything of a clean one. A shard runs only the
+pure-Python checks and ends in ``os._exit``, so it never runs the
 caller's exit handlers or flushes its buffers.
 
-Range ``i`` runs on the ``i``-th CPU id of the sorted mask, alone: each
+Shard ``i`` runs on the ``i``-th CPU id of the sorted mask, alone: each
 child pins itself there before it starts, and the caller, once its
 children are forked, pins itself to the first. A cpuset with load
 balancing off never moves a forked child off its parent's CPU, so without
-the pins every range could share one CPU and a sweep would take as long as
+the pins every shard could share one CPU and a sweep would take as long as
 on one. The caller puts back the mask it read once every child is reaped
 or killed, whether the sweep passed or failed. Placement only affects
 speed: where the kernel refuses a mask, that process runs where it is,
@@ -48,7 +48,7 @@ load balancing off, the pins took the default residue sweep from 0.115 to
 0.058 s and the preimages of "/a/b/c" from 0.083 to 0.043 s (medians of
 10 benchmark runs each).
 
-One runner, in the caller and in each child alike, hands its range to the
+One runner, in the caller and in each child alike, hands its shard to the
 check a block at a time and counts the strings it hands out; ``_sharded``
 raises unless the counts add up to the whole space. The residue check
 maps ``canonical._canonical_texts``, the bulk form of the formula every
@@ -70,8 +70,7 @@ from __future__ import annotations
 
 import marshal
 import os
-from bisect import bisect_right
-from itertools import accumulate, compress, product
+from itertools import compress, islice, product
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, List
 from typing import NamedTuple, Tuple
 
@@ -138,11 +137,13 @@ def _checked_count(spec: EnumerationSpec) -> int:
 # Aliases for annotations only, so they cost nothing at import.
 # Block: a prefix and its suffixes, which stand for the strings prefix + suffix.
 # Check: returns a block's findings, in the block's order.
-# ShardResult: the strings a range handed to its check, and their findings.
+# Numbered: blocks with their numbers in shortlex order.
+# ShardResult: the strings a shard checked, and (number, findings) per block.
 if TYPE_CHECKING:
     Block = Tuple[str, List[str]]
     Check = Callable[[str, List[str]], list]
-    ShardResult = Tuple[int, list]
+    Numbered = Iterable[Tuple[int, Block]]
+    ShardResult = Tuple[int, List[Tuple[int, list]]]
 
 # SIGKILL, which POSIX fixes at 9; importing the signal module for the name
 # would add more than a millisecond to every ``import pathguard``.
@@ -203,19 +204,21 @@ def _pin(cpus: Iterable[int]) -> None:
         pass
 
 
-def _run(check: Check, blocks: List[Block]) -> ShardResult:
-    """Hand ``blocks`` to ``check`` one at a time. Returns how many strings
-    it handed out, and the findings concatenated in order."""
-    visited, findings = 0, []
-    for prefix, suffixes in blocks:
+def _run(check: Check, numbered: Numbered) -> ShardResult:
+    """Hand each numbered block to ``check``. Returns how many strings it
+    handed out, and ``(number, findings)`` for each block that has findings."""
+    visited, found = 0, []
+    for number, (prefix, suffixes) in numbered:
         visited += len(suffixes)
-        findings += check(prefix, suffixes)
-    return visited, findings
+        findings = check(prefix, suffixes)
+        if findings:
+            found.append((number, findings))
+    return visited, found
 
 
-def _fork_shard(check: Check, blocks: List[Block], cpu: int) -> Tuple[int, BinaryIO]:
-    """Start a child that runs the check over the blocks on CPU ``cpu``;
-    returns its pid and result pipe."""
+def _fork_shard(check: Check, numbered: Numbered, cpu: int) -> Tuple[int, BinaryIO]:
+    """Start a child that runs the check over the numbered blocks on CPU
+    ``cpu``; returns its pid and result pipe."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
@@ -228,7 +231,7 @@ def _fork_shard(check: Check, blocks: List[Block], cpu: int) -> Tuple[int, Binar
         try:
             os.close(rfd)
             _pin({cpu})
-            data = marshal.dumps(_run(check, blocks))
+            data = marshal.dumps(_run(check, numbered))
             with open(wfd, "wb") as out:
                 out.write(data)
             status = 0
@@ -240,70 +243,55 @@ def _fork_shard(check: Check, blocks: List[Block], cpu: int) -> Tuple[int, Binar
     return pid, open(rfd, "rb")
 
 
-def _reap(pid: int, data: bytes) -> ShardResult:
-    """Wait for a child whose pipe is drained; decode what it sent.
-
-    Raises:
-        RuntimeError: the child exited non-zero or sent nothing.
-    """
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not data:
-        raise RuntimeError(
-            f"verifier shard {pid} exited with status {code} "
-            f"after sending {len(data)} bytes"
-        )
-    return marshal.loads(data)
-
-
 def _sharded(spec: EnumerationSpec, check: Check) -> list:
-    """Run ``check`` over every block, in at most one range of whole blocks
-    per CPU this process may use.
+    """Run ``check`` over every block, dealing the numbered blocks out by
+    stride to one shard per CPU this process may use.
 
-    Returns the findings of all ranges, concatenated in shortlex order.
+    Returns the findings of all blocks, in shortlex order.
 
     Raises:
         BudgetExceeded: the count exceeds ``MAX_SWEEP``, before any shard
             starts.
-        RuntimeError: a shard failed, or the shards did not visit every
-            string exactly once.
+        RuntimeError: a shard exited non-zero or sent nothing, or the
+            shards did not visit every string exactly once.
     """
     count = _checked_count(spec)
-    blocks = list(_blocks(spec))
-    ends = list(accumulate(len(suffixes) for _, suffixes in blocks))
     cpus = _cpus()
-    n = len(cpus)
-    # Cut i is the number of blocks that end at or before string count*i//n.
-    cuts = list(dict.fromkeys(bisect_right(ends, count * i // n) for i in range(n + 1)))
-    forks = len(cuts) > 2
+    # One shard per CPU, but none without a block.
+    n = len(list(islice(_blocks(spec), len(cpus))))
+    numbered = enumerate(_blocks(spec))
     results: List[ShardResult] = []
     children: List[Tuple[int, BinaryIO]] = []  # started, not yet reaped
     try:
-        # Range i runs on CPU cpus[i]: where load balancing is off, the
-        # kernel never moves a forked child off its parent's CPU.
-        for cpu, lo, hi in zip(cpus[1:], cuts[1:], cuts[2:]):
-            children.append(_fork_shard(check, blocks[lo:hi], cpu))
-        if forks:
+        for i in range(1, n):
+            children.append(_fork_shard(check, islice(numbered, i, None, n), cpus[i]))
+        if n > 1:
             _pin({cpus[0]})
-        # The caller also forks and merges, so it runs the first range: at
-        # most its share, count // n strings, or the one-string first block.
-        results.append(_run(check, blocks[: cuts[1]]))
+        results.append(_run(check, islice(numbered, 0, None, n)))
         while children:
             pid, pipe = children[0]
             data = pipe.read()
             pipe.close()
             children.pop(0)
-            results.append(_reap(pid, data))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code != 0 or not data:
+                raise RuntimeError(
+                    f"verifier shard {pid} exited with status {code} "
+                    f"after sending {len(data)} bytes"
+                )
+            results.append(marshal.loads(data))
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, _SIGKILL)
             os.waitpid(pid, 0)
-        if forks:
+        if n > 1:
             _pin(cpus)
     visited = sum(result[0] for result in results)
     if visited != count:
         raise RuntimeError(f"shards visited {visited} of {count} strings")
-    return [found for _, findings in results for found in findings]
+    found = sorted(pair for _, pairs in results for pair in pairs)
+    return [item for _, findings in found for item in findings]
 
 
 def _residue_check(prefix: str, suffixes: List[str]) -> list:

@@ -579,6 +579,52 @@ class TestByteExact:
         argv = [b"check", b"--whitelist", latin1_whitelist.encode(), b"/x/../caf\xe9"]
         assert self.child(environment, argv) == (0, b"ALLOW /caf\xe9\n")
 
+    @pytest.mark.parametrize(
+        "argv,code,out",
+        [
+            (["canon", "--stdin"], 0, b"/caf\xe9\n"),
+            (["canon", "/a\x00b"], 2, b""),
+            (["canon", "--no-such-flag"], SystemExit, b""),
+        ],
+        ids=["stdin", "failure", "raises"],
+    )
+    def test_main_puts_the_codecs_back(self, monkeypatch, argv, code, out):
+        # main switches the process's own streams to UTF-8; a caller in the
+        # same process gets each stream back with its own codec, on success
+        # and on failure, whether main returns or raises.
+        stdin = io.TextIOWrapper(io.BytesIO(b"/x/../caf\xe9\n"), encoding="latin-1")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", stdout)
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        for stream in (stdin, stdout):
+            assert (stream.encoding, stream.errors) == ("latin-1", "strict")
+        stdout.flush()
+        assert stdout.buffer.getvalue() == out
+
+    def test_an_error_mid_batch_reaches_the_caller(self, monkeypatch):
+        # A stdout that fails mid-batch leaves stdin part read, which no
+        # codec can be set on; main's own error must reach the caller, and
+        # stdout must still get its codec back.
+        class Broken(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"/a\n" * (3 * BLOCK_LINES)), encoding="latin-1")
+        stdout = io.TextIOWrapper(Broken(), encoding="latin-1", write_through=True)
+        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdout", stdout)
+        with pytest.raises(BrokenPipeError):
+            main(["canon", "--stdin"])
+        assert (stdout.encoding, stdout.errors) == ("latin-1", "strict")
+
 
 class TestVerify:
     def test_no_residue_sweep_small(self, capsys):
@@ -736,12 +782,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_sweep_one_string_short_exits_2(self, capsys, monkeypatch, n):
-        # The last block, a child's on 2 CPUs, loses a string.
+        # The second block, a child's on 2 CPUs, loses a string.
         blocks = verifier_module._blocks
 
         def short(spec):
-            *head, (prefix, suffixes) = blocks(spec)
-            return [*head, (prefix, suffixes[:-1])]
+            first, (prefix, suffixes), *tail = blocks(spec)
+            return [first, (prefix, suffixes[:-1]), *tail]
 
         monkeypatch.setattr(verifier_module, "_blocks", short)
         pinned = self._cpus(monkeypatch, n)

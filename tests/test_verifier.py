@@ -2,6 +2,7 @@ import itertools
 import operator
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -138,7 +139,7 @@ BLOCK_IDS = [str(len(alphabet)) for alphabet, _ in BLOCK_ALPHABETS]
 
 class TestBlocks:
     """``_blocks`` yields the shortlex order a prefix block at a time, and
-    ``_sharded`` cuts it into ranges of whole blocks."""
+    ``_sharded`` deals the whole blocks out to its shards by stride."""
 
     @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
     def test_blocks_flatten_to_shortlex_order(self, alphabet, width):
@@ -168,20 +169,19 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("alphabet,width", BLOCK_ALPHABETS, ids=BLOCK_IDS)
-    def test_ranges_are_whole_blocks_cut_at_each_share(self, monkeypatch, alphabet, width, n):
-        # Each block's one finding names the process that checked it, so the
-        # findings show the ranges in order. The caller also forks and
-        # merges, so it runs the first range, which holds no more than its
-        # share; with more CPUs than strings, that is the first block alone.
+    def test_block_k_runs_on_the_mask_cpu_k_mod_n(self, monkeypatch, alphabet, width, n):
+        # Each block's one finding names the process that checked it and the
+        # CPU that process pinned itself to (a forked child records its pin
+        # into its own copy of the record), so the findings show the shards.
         caller, forked = os.getpid(), []
         fork_shard = verifier_module._fork_shard
 
-        def fork(check, blocks, cpu):
+        def fork(check, numbered, cpu):
             forked.append(cpu)
-            return fork_shard(check, blocks, cpu)
+            return fork_shard(check, numbered, cpu)
 
         def check(prefix, suffixes):
-            return [(os.getpid(), prefix, len(suffixes))]
+            return [(os.getpid(), [min(cpus) for cpus in pinned], prefix, len(suffixes))]
 
         monkeypatch.setattr(verifier_module, "_fork_shard", fork)
         # Odd CPU ids from 1, so that no CPU id is its index in the mask.
@@ -190,23 +190,23 @@ class TestBlocks:
         for max_len in range(width + 3):
             spec = EnumerationSpec(alphabet, max_len)
             whole = [(p, len(s)) for p, s in _blocks(spec)]
-            count = total_count(spec)
+            # No shard without a block: one block forks nothing.
+            shards = min(n, len(whole))
             forked.clear()
             pinned.clear()
             found = _sharded(spec, check)
-            assert [(p, size) for _, p, size in found] == whole
-            ranges = [
-                [size for *_, size in blocks]
-                for _, blocks in itertools.groupby(found, operator.itemgetter(0))
-            ]
-            # Forked range i goes to the mask's CPU i; the caller, which runs
-            # range 0, pins itself to the first CPU only when it forked, and
-            # then puts its mask back.
-            assert found[0][0] == caller and forked == mask[1 : len(ranges)]
-            assert pinned == ([{1}, set(mask)] if forked else [])
-            sizes = list(map(sum, ranges))
-            assert list(itertools.accumulate(sizes, initial=0)) == _cuts(spec, n)
-            assert sizes[0] <= max(count // n, 1)
+            assert [(p, size) for *_, p, size in found] == whole
+            # Block k is checked by shard k mod shards: the caller for shard
+            # 0, each other shard by its own child, on the mask's CPU k mod
+            # shards. The caller pins itself to the first CPU only when it
+            # forked, and then puts its mask back.
+            assert forked == mask[1:shards]
+            pids = [pid for pid, *_ in found]
+            assert pids[0] == caller and len(set(pids[:shards])) == shards
+            assert pids == [pids[k % shards] for k in range(len(whole))]
+            want = [[mask[k % shards]] if shards > 1 else [] for k in range(len(whole))]
+            assert [cpus for _, cpus, *_ in found] == want
+            assert pinned == ([{1}, set(mask)] if shards > 1 else [])
 
 
 class TestVerifyNoResidue:
@@ -308,20 +308,12 @@ def _faulty_canonical_text(text):
     return out
 
 
-def _cuts(spec, n):
-    """The ranks at which the sweeps cut the space for n CPUs: for each i
-    up to n, the last block edge at or before count * i // n, once each."""
-    edges = list(itertools.accumulate((len(s) for _, s in _blocks(spec)), initial=0))
-    shares = [edges[-1] * i // n for i in range(n + 1)]
-    return sorted({max(e for e in edges if e <= share) for share in shares})
-
-
 def _rank(spec, text):
     return _strings(spec).index(text)
 
 
 class TestSharding:
-    """The sweeps split the blocks across CPUs; nothing else may change."""
+    """The sweeps deal the blocks out across CPUs; nothing else may change."""
 
     SPEC = EnumerationSpec(alphabet="/.ab", max_len=6)
 
@@ -355,12 +347,14 @@ class TestSharding:
         _cpus(monkeypatch, n)
         found = verify_no_residue(self.SPEC)
         assert [(v.input, v.output, v.offending) for v in found] == plain
-        # Faulty strings lie in every shard's range.
+        # Faulty strings lie in blocks of every shard: block k is shard k mod n's.
         faulty = {v.input for v in found}
-        ranks = [r for r, text in enumerate(_strings(self.SPEC)) if text in faulty]
-        cuts = _cuts(self.SPEC, n)
-        for lo, hi in zip(cuts, cuts[1:]):
-            assert any(lo <= r < hi for r in ranks)
+        shards = {
+            k % n
+            for k, (prefix, suffixes) in enumerate(_blocks(self.SPEC))
+            if faulty.intersection(map(prefix.__add__, suffixes))
+        }
+        assert shards == set(range(n))
 
     # 21,845 strings. Over "/.ab" the suffixes are the 4,096 strings of
     # length 6: lengths 0 to 5 are a block each, starting at ranks 0, 1, 5,
@@ -369,13 +363,12 @@ class TestSharding:
     BLOCK_SPEC = EnumerationSpec(alphabet="/.ab", max_len=7)
     BLOCK_FIRSTS = [0, 1, 5, 21, 85, 341, 1365, 5461, 9557, 13653, 17749, 21845]
 
-    def _edges(self, n):
-        """The ranks of each block's first and last string in BLOCK_SPEC,
-        which are the strings on both sides of each cut for n CPUs."""
+    def _edges(self):
+        """The ranks of each block's first and last string in BLOCK_SPEC.
+        Every block edge is a shard edge, whatever the CPU count."""
         firsts = self.BLOCK_FIRSTS
         sizes = [len(suffixes) for _, suffixes in _blocks(self.BLOCK_SPEC)]
         assert list(itertools.accumulate(sizes, initial=0)) == firsts
-        assert set(_cuts(self.BLOCK_SPEC, n)) <= set(firsts)
         return sorted({*firsts[:-1], *(rank - 1 for rank in firsts[1:])})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -383,12 +376,12 @@ class TestSharding:
         # The residue sweep checks a block of outputs at once and walks only
         # a failing block string by string. Faults planted at each block's
         # first and last string (which puts them on both sides of every
-        # length boundary and shard cut, and at a prefix block's first and
+        # length boundary and shard edge, and at a prefix block's first and
         # last suffix) must come out exactly as a walk of every string
         # reports them, in shortlex order.
         spec = self.BLOCK_SPEC
         strings = _strings(spec)
-        edges = self._edges(n)
+        edges = self._edges()
         faults = [
             lambda out: out + "/",
             lambda out: "x" + out,
@@ -424,14 +417,14 @@ class TestSharding:
         # The preimage check scans a block's outputs for the target at once
         # and lists the hits only in a block that holds one. Hits planted at
         # each block's first and last string, and so on both sides of each
-        # shard cut, beside the real preimages, must come out exactly as a
+        # shard edge, beside the real preimages, must come out exactly as a
         # walk of every string finds them, in shortlex order. The oracle is
         # made to agree with the planted hits, so that only the listing is
         # under test.
         spec = self.BLOCK_SPEC
         strings = _strings(spec)
         target = CanonicalPath("/a/b")
-        planted = {strings[rank] for rank in self._edges(n)}
+        planted = {strings[rank] for rank in self._edges()}
 
         def faulty(text):
             return target.text if text in planted else _formula(text)
@@ -461,8 +454,8 @@ class TestSharding:
 
     # Over "/.a" up to length 3 (40 strings), the preimages of "/a" are, in
     # shortlex order: "a", "/a", "a/", "//a", "/a/", "./a", "a//" and "a/.".
-    # Each length is one block, so for n up to 4 the only cuts are at ranks
-    # 4 and 13: "./a", of rank 24, lies in a child's range for n of 2 to 4.
+    # Each length is one block, so "./a", of rank 24, lies in block 3: a
+    # child's on 2 and 4 CPUs, the caller's on 1 and 3.
     PREIMAGE_SPEC = EnumerationSpec(alphabet="/.a", max_len=3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -485,10 +478,10 @@ class TestSharding:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_oracle_error_reaches_the_caller_unchanged(self, monkeypatch, n):
-        # "./a" is in a child's range when n is 2 or more; the oracle's own
-        # error must not turn into a failed shard.
+        # Whichever shard found "./a", the oracle's own error must not turn
+        # into a failed shard.
         spec = self.PREIMAGE_SPEC
-        assert n == 1 or _rank(spec, "./a") >= _cuts(spec, n)[1]
+        assert _rank(spec, "./a") == 24
 
         def failing_oracle(raw):
             if raw == "./a":
@@ -523,20 +516,41 @@ class TestSharding:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_range_one_string_short_raises_runtime_error(self, monkeypatch, n):
-        # The last block, a child's when n is 2, holds one string fewer;
+        # The second block, a child's when n is 2, holds one string fewer;
         # the count its runner sends back must give it away.
         count = total_count(self.SPEC)
         blocks = verifier_module._blocks
 
         def short(spec):
-            *head, (prefix, suffixes) = blocks(spec)
-            return [*head, (prefix, suffixes[:-1])]
+            first, (prefix, suffixes), *tail = blocks(spec)
+            return [first, (prefix, suffixes[:-1]), *tail]
 
         monkeypatch.setattr(verifier_module, "_blocks", short)
         _cpus(monkeypatch, n)
         with pytest.raises(RuntimeError) as err:
             verify_no_residue(self.SPEC)
         assert str(err.value) == f"shards visited {count - 1} of {count} strings"
+
+    def test_memory_does_not_grow_with_the_blocks(self, monkeypatch):
+        # 50,001 blocks of one string each. The sweep may hold the alphabet's
+        # characters once over (itertools.product keeps a tuple of them) and
+        # a fixed 64 KiB more: listing the blocks would cost about 100 bytes
+        # a block, 5 MB in all.
+        alphabet = "/." + "".join(map(chr, range(0x100, 0x100 + 49_998)))
+        spec = EnumerationSpec(alphabet, 1)
+        _cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            pool = tuple(alphabet)
+            bound = tracemalloc.get_traced_memory()[0] + 64 * 1024
+            del pool
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert verify_no_residue(spec) == []
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @staticmethod
     def _forbid_fork(monkeypatch):
@@ -597,26 +611,27 @@ def _mask():
 
 @pytest.mark.skipif(len(_mask()) < 2, reason="needs an affinity mask of 2 CPUs or more")
 class TestPlacement:
-    """On the real mask, range i of a sweep runs on the mask's CPU i alone,
+    """On the real mask, shard i of a sweep runs on the mask's CPU i alone,
     and the caller gets back the mask it had, whether the sweep passes or
     fails."""
 
-    # 87,381 strings in 27 blocks, enough for a range on each of 21 CPUs.
+    # 87,381 strings in 27 blocks, enough for a shard on each of 27 CPUs.
     SPEC = EnumerationSpec(alphabet="/.ab", max_len=8)
 
-    def test_each_range_runs_on_its_own_cpu(self):
+    def test_each_shard_runs_on_its_own_cpu(self):
         cpus = _mask()
+        n = min(len(cpus), 27)
 
         def check(prefix, suffixes):
             return [(os.getpid(), sorted(os.sched_getaffinity(0)))]
 
         found = _sharded(self.SPEC, check)
-        masks = [
-            {tuple(mask) for _, mask in blocks}
-            for _, blocks in itertools.groupby(found, operator.itemgetter(0))
-        ]
-        assert found[0][0] == os.getpid() and len(masks) >= 2
-        assert masks == [{(cpu,)} for cpu in cpus[: len(masks)]]
+        # Block k is shard k mod n's, pinned to the mask's CPU k mod n; the
+        # caller runs shard 0.
+        assert [mask for _, mask in found] == [[cpus[k % n]] for k in range(27)]
+        pids = [pid for pid, _ in found]
+        assert pids == [pids[k % n] for k in range(27)] and pids[0] == os.getpid()
+        assert len(set(pids)) == n
         assert _mask() == cpus
 
     @pytest.mark.parametrize("where", ["child", "caller"])
