@@ -9,20 +9,19 @@ batch, 2 if any line failed outranks 1 if any line was denied. ``diff``
 exits 1 only when traversal residue survives in a baseline output; a
 ``bottom_up_reach`` record alone is reported but leaves the exit code at 0.
 All behavior is flag-driven; there is no environment or config-file
-state, and stdin and stdout are read and written as UTF-8 with
-surrogateescape whatever the locale, so one set of input bytes always gets
-the same answer bytes.
+state. Stdin and stdout are read and written as bytes in the whitelist's
+codec whatever the locale, so one set of input bytes always gets the same
+answer bytes, and ``sys.stdin`` and ``sys.stdout`` are left as they were.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 import time
-from contextlib import suppress
+from codecs import getincrementaldecoder
 from itertools import count, islice
-from typing import Callable, Iterable, List, Optional, TextIO, Tuple
+from typing import Callable, Iterator, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_texts, load_whitelist, underflows
@@ -35,14 +34,16 @@ from .verifier import (
     verify_no_residue,
 )
 
-EXIT_OK = 0
-EXIT_DENIED = 1
-EXIT_USAGE = 2
+EXIT_OK, EXIT_DENIED, EXIT_USAGE = 0, 1, 2
 
 # canon and check answer this many input lines at a time: often enough
 # that the first answers arrive while the batch is still being read, seldom
 # enough that the bulk check and a write to stdout are paid once a block.
 BLOCK_LINES = 1024
+
+# The whitelist's codec, in which any bytes read, and write back, as themselves.
+ENCODING, ERRORS = "utf-8", "surrogateescape"
+READ_BYTES = 1 << 16  # the most that --stdin reads at a time
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -111,50 +112,65 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _byte_exact(stream: TextIO) -> TextIO:
-    """``stream``, switched to the whitelist's codec: UTF-8 with
-    surrogateescape, so that every byte string reads, and writes back, as
-    itself whatever the locale. Only a TextIOWrapper is switched; any other
-    stream (a StringIO, say) already holds text."""
-    if isinstance(stream, io.TextIOWrapper):
-        stream.reconfigure(encoding="utf-8", errors="surrogateescape")
-    return stream
+def _stdin_lines() -> Iterator[str]:
+    """Stdin's lines, read lazily a chunk at a time: each ends at "\\n",
+    dropped with any "\\r"s before it, and so may the last. A stdin without
+    a byte layer (a StringIO, say) is read as the text it holds."""
+    if hasattr(sys.stdin, "buffer"):
+        read = sys.stdin.buffer.read1
+        decode = getincrementaldecoder(ENCODING)(ERRORS).decode
+    else:
+        read, decode = sys.stdin.read, lambda text, final: text
+    carry = ""
+    while chunk := read(READ_BYTES):
+        text = carry + decode(chunk, False)
+        lines = text.split("\n")
+        carry = lines.pop()
+        if "\r" in text:
+            lines = [line.rstrip("\r") for line in lines]
+        yield from lines
+    if carry := carry + decode(chunk, True):
+        yield carry.rstrip("\r")
 
 
-def _input_paths(args: argparse.Namespace) -> Iterable[str]:
-    """The input lines: stdin, read lazily and with its line endings, with
-    ``--stdin``; else the one path argument."""
-    if args.stdin:
-        if args.path is not None:
-            raise PathError("--stdin and a path argument are mutually exclusive")
-        return _byte_exact(sys.stdin)
-    if args.path is None:
-        raise PathError("a path argument is required (or use --stdin)")
-    return [args.path]
+def _write(text: str) -> None:
+    """Write ``text`` to stdout's byte layer in the whitelist's codec, after
+    its text layer, until every byte is taken: unbuffered, the byte layer is
+    a raw file, which may take fewer. A stdout without one gets the text."""
+    if hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        data = memoryview(text.encode(ENCODING, ERRORS))
+        while data:
+            data = data[sys.stdout.buffer.write(data) :]
+    else:
+        sys.stdout.write(text)
 
 
 def _answer_lines(
     args: argparse.Namespace,
-    lines: Iterable[str],
     root: Optional[CanonicalPath],
     answer: Callable[[List[str]], Tuple[str, bool]],
 ) -> int:
     """Write ``answer(canonical texts)``, a block's output and whether it
-    denied a path, for ``lines``, BLOCK_LINES at a time.
+    denied a path, for the input lines, BLOCK_LINES at a time: stdin's,
+    read lazily, with ``--stdin``, else the one path argument.
 
     A block's lines are put under ``root`` if there is one, held to the NUL
-    and length rule in one check over the jailed paths (each holds its
-    line), and the paths kept are canonicalized in one ``map`` of
-    ``_canonical_texts``, the form the verifier's sweeps certify. A block
-    that fails the check, or any block under ``--strict-underflow``, is
-    also taken line by line, only to report and filter: a block that failed
-    drops each failing line, naming it by number, and under the flag the
-    lines that hold ".." report the parts ignored at the root with the line
-    as sent. A block's stderr lines go out in line order, in one write.
-    :func:`underflows` counts them with the same normpath that computes the
-    texts; the stack walk does not run. Exit 2 if any line failed or stdin
-    could not be read, else 1 if any path was denied, else 0.
+    and length rule in one check over the jailed paths, and the paths kept
+    are canonicalized in one ``map`` of ``_canonical_texts``, the form the
+    verifier's sweeps certify. A block that fails the check, or any block
+    under ``--strict-underflow``, is also walked line by line: each failing
+    line is dropped and named by number, and under the flag each line with
+    ".." reports, as sent, the parts ignored at the root that
+    :func:`underflows` counts (normpath, not the stack walk), in line order
+    in one stderr write. Exit 2 if a line failed or stdin could not be read,
+    else 1 if a path was denied, else 0.
     """
+    if args.stdin and args.path is not None:
+        return _fail("--stdin and a path argument are mutually exclusive")
+    if not args.stdin and args.path is None:
+        return _fail("a path argument is required (or use --stdin)")
+    lines = _stdin_lines() if args.stdin else [args.path]
     failed = denied = False
     error: Optional[ValueError] = None
     for first in count(1, BLOCK_LINES):
@@ -163,8 +179,6 @@ def _answer_lines(
             block.extend(islice(lines, BLOCK_LINES))  # keeps what it read
         except ValueError as exc:  # unreadable stdin
             error = exc
-        if args.stdin:
-            block = [line.rstrip("\n").rstrip("\r") for line in block]
         paths = block if root is None else [root + "/" + line for line in block]
         checked = _all_checked(paths)
         kept = paths if checked else []
@@ -194,7 +208,7 @@ def _answer_lines(
             failed = failed or len(kept) < len(paths)
         texts = list(_canonical_texts(kept))
         out, deny = answer(texts) if texts else ("", False)
-        sys.stdout.write(out)
+        _write(out)
         denied = denied or deny
         if error is not None or len(block) < BLOCK_LINES:
             break
@@ -208,16 +222,14 @@ def _answer_lines(
 def _cmd_canon(args: argparse.Namespace) -> int:
     try:
         root = None if args.root is None else CanonicalPath(args.root)
-        lines = _input_paths(args)
     except ValueError as exc:
         return _fail(str(exc))
-    return _answer_lines(args, lines, root, lambda t: ("\n".join(t) + "\n", False))
+    return _answer_lines(args, root, lambda t: ("\n".join(t) + "\n", False))
 
 
 def _open_lines(path: str) -> TextIO:
-    """A whitelist or corpus file, read with the whitelist's codec. The
-    loaders end its lines at "\\n" only, as ``--stdin`` reads them."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    """A whitelist or corpus file, read in the whitelist's codec."""
+    return open(path, encoding=ENCODING, errors=ERRORS)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -227,26 +239,26 @@ def _cmd_check(args: argparse.Namespace) -> int:
             whitelist = load_whitelist(
                 fh, canonicalize_entries=args.canonicalize_entries
             )
-        lines = _input_paths(args)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
 
     def decide(texts: List[str]) -> Tuple[str, bool]:
-        answers = [("ALLOW " if t in whitelist else "DENY ") + t for t in texts]
-        return "\n".join(answers) + "\n", not whitelist.issuperset(texts)
+        allowed = list(map(whitelist.__contains__, texts))
+        answers = [("ALLOW " if ok else "DENY ") + t for ok, t in zip(allowed, texts)]
+        return "\n".join(answers) + "\n", not all(allowed)
 
-    return _answer_lines(args, lines, root, decide)
+    return _answer_lines(args, root, decide)
 
 
 def _hex(text: object) -> Optional[str]:
     """The bytes of ``text`` in hex if it is a string that does not encode
     as UTF-8, else None. Such a string holds an input byte that was not
-    UTF-8, read with surrogateescape as a lone surrogate."""
+    UTF-8, read in the whitelist's codec as a lone surrogate."""
     if isinstance(text, str):
         try:
-            text.encode("utf-8")
+            text.encode(ENCODING)
         except UnicodeEncodeError:
-            return text.encode("utf-8", "surrogateescape").hex()
+            return text.encode(ENCODING, ERRORS).hex()
     return None
 
 
@@ -278,16 +290,14 @@ def _utf8_fields(doc: dict) -> dict:
 
 
 def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) -> None:
-    """Put the time since ``started`` in ``doc["summary"]``, then print
+    """Put the time since ``started`` in ``doc["summary"]``, then write
     ``doc`` as one JSON line with ``--format structured``, else ``lines``.
-    JSON holds text, so a string that is not UTF-8 text goes out as its
-    bytes in hex; see ``_utf8_fields``."""
+    JSON holds text, so a string that is not UTF-8 goes out in hex."""
     doc["summary"]["elapsed_ms"] = int((time.monotonic() - started) * 1000)
     if args.format == "structured":
         import json  # only here: canon and check never load it
-        print(json.dumps(_utf8_fields(doc)))
-    else:
-        print("\n".join(lines))
+        lines = [json.dumps(_utf8_fields(doc))]
+    _write("\n".join(lines) + "\n")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -337,19 +347,8 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # stdout, and stdin under --stdin, are switched to UTF-8; both get back
-    # their codecs on return or raise, except a stdin main raised in the
-    # middle of: no codec can be set on it, and trying would hide the error.
-    streams = [s for s in (sys.stdout, sys.stdin) if isinstance(s, io.TextIOWrapper)]
-    saved = [(stream, stream.encoding, stream.errors) for stream in streams]
-    try:
-        _byte_exact(sys.stdout)
-        args = _build_parser().parse_args(argv)
-        return args.run(args)
-    finally:
-        for stream, encoding, errors in saved:
-            with suppress(io.UnsupportedOperation):
-                stream.reconfigure(encoding=encoding, errors=errors)
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 def run() -> None:

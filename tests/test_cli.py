@@ -14,6 +14,24 @@ from pathguard.canonical import _canonical_texts
 from pathguard.cli import BLOCK_LINES, main
 
 
+class ByteStdin:
+    """A stdin double with a byte layer: ``buffer.read1`` returns one of
+    ``chunks`` a call, then calls ``at_end`` (which may raise) and returns
+    b"" for the end of input."""
+
+    def __init__(self, chunks, at_end=lambda: None):
+        self.buffer = self
+        self.chunks = iter(chunks)
+        self.at_end = at_end
+
+    def read1(self, size):
+        for chunk in self.chunks:
+            assert 0 < len(chunk) <= size
+            return chunk
+        self.at_end()
+        return b""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -311,9 +329,9 @@ class TestStdinStream:
         ]
 
     def test_undecodable_stdin_is_answered_byte_for_byte(self, monkeypatch):
-        # Both streams are switched to UTF-8 with surrogateescape: the
-        # invalid byte is a name like any other and comes back as itself,
-        # even through an ASCII stdout.
+        # Both streams' bytes are read and written as UTF-8 with
+        # surrogateescape: the invalid byte is a name like any other and
+        # comes back as itself, even through an ASCII stdout.
         stdin = io.TextIOWrapper(io.BytesIO(b"/a\n\xff/../b\n/caf\xe9\n"), encoding="utf-8")
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
         monkeypatch.setattr("sys.stdin", stdin)
@@ -336,12 +354,9 @@ class TestStdinStream:
     def test_first_block_written_before_stdin_ends(self, monkeypatch, whitelist_file):
         out = io.StringIO()
         seen_at_eof = []
-
-        def stdin():
-            yield from (line + "\n" for line in batch_lines(BLOCK_LINES + 10))
-            seen_at_eof.append(out.getvalue())
-
-        monkeypatch.setattr("sys.stdin", stdin())
+        lines = [(line + "\n").encode() for line in batch_lines(BLOCK_LINES + 10)]
+        stdin = ByteStdin(lines, lambda: seen_at_eof.append(out.getvalue()))
+        monkeypatch.setattr("sys.stdin", stdin)
         monkeypatch.setattr("sys.stdout", out)
         code = main(["check", "--whitelist", whitelist_file, "--stdin"])
         assert code == 1
@@ -375,16 +390,16 @@ class TestStdinStream:
         # it are answered, and the failure is reported and exits 2.
         lines = batch_lines(1_500)
 
-        def stdin():
-            yield from (line + "\n" for line in lines)
+        def went_away():
             raise ValueError("stdin went away")
 
+        stdin = ByteStdin([(line + "\n").encode() for line in lines], went_away)
         want = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
         extra = []
         if command == "check":
             want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c for c in want]
             extra = ["--whitelist", whitelist_file]
-        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, command, "--stdin", *extra)
         assert (code, err) == (2, "pathguard: stdin went away\n")
         assert out == "".join(c + "\n" for c in want)
@@ -409,11 +424,12 @@ def edge_batch(fault):
     return "".join(t + endings[i % 3] for i, t in enumerate(lines[:-1])) + lines[-1]
 
 
-def line_by_line(command, text, root, strict=False):
+def line_by_line(command, text, root, strict=False, allowed=("/a/b/c",)):
     """The exit code, stdout and stderr of answering each line of ``text``
-    on its own with ``canonicalize(validate_raw(...))``. With ``strict``,
-    stderr also counts each kept line's ignored ".." (``underflows``), in
-    line order beside the error lines."""
+    on its own with ``canonicalize(validate_raw(...))``, ``check`` allowing
+    the paths in ``allowed``. With ``strict``, stderr also counts each kept
+    line's ignored ".." (``underflows``), in line order beside the error
+    lines."""
     out, err, failed = [], [], False
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -434,7 +450,7 @@ def line_by_line(command, text, root, strict=False):
             )
         canonical = canonicalize(raw).text
         if command == "check":
-            canonical = ("ALLOW " if canonical == "/a/b/c" else "DENY ") + canonical
+            canonical = ("ALLOW " if canonical in allowed else "DENY ") + canonical
         out.append(canonical + "\n")
     denied = command == "check" and any(o.startswith("DENY") for o in out)
     return 2 if failed else int(denied), "".join(out), "".join(err)
@@ -532,6 +548,66 @@ class TestBlockEdges:
                 assert len(line_errors(err)) < len(err.splitlines())
 
 
+class TestReader:
+    """``--stdin`` decodes each read as it comes, carrying what a read cut
+    off to the next: a name or line ending split across reads, or a last
+    line without "\\n", is answered as each line on its own would be."""
+
+    # A whitelisted 2-byte UTF-8 name, "\\r\\n" and "\\r\\r\\n" endings, a
+    # byte that is not UTF-8, and a last line with no "\\n" that ends in the
+    # first byte of a 2-byte name, which the decoder holds until the end.
+    DATA = (
+        b"/caf\xc3\xa9\r\n./a/b/c\r\r\n\n/x/../caf\xc3\xa9\n/\xff/../b\r\n"
+        b"a\rb\n/../caf\xc3"
+    )
+    ALLOWED = ("/a/b/c", "/caf\u00e9")
+
+    @staticmethod
+    def reads(cuts):
+        """DATA cut at ``cuts``: one name split between its two bytes and
+        the first "\\r\\n" split between "\\r" and "\\n", or every byte alone."""
+        data = TestReader.DATA
+        if cuts == "name-and-crlf":
+            at = [0, data.index(b"\xa9"), data.index(b"\r\n") + 1, len(data)]
+        else:
+            at = range(len(data) + 1)
+        return [data[i:j] for i, j in zip(at, at[1:])]
+
+    @pytest.mark.parametrize("cuts", ["name-and-crlf", "every-byte"])
+    @pytest.mark.parametrize("command", ["canon", "check"])
+    def test_reads_cut_anywhere(self, monkeypatch, tmp_path, command, cuts):
+        wl = tmp_path / "w.txt"
+        wl.write_bytes("".join(t + "\n" for t in self.ALLOWED).encode())
+        extra = ["--whitelist", str(wl)] if command == "check" else []
+        monkeypatch.setattr("sys.stdin", ByteStdin(self.reads(cuts)))
+        code, out = run_bytes(monkeypatch, command, "--stdin", *extra)
+        text = self.DATA.decode("utf-8", "surrogateescape")
+        want_code, want_out, _ = line_by_line(command, text, None, allowed=self.ALLOWED)
+        assert (code, out) == (want_code, want_out.encode("utf-8", "surrogateescape"))
+        if command == "check":
+            assert out.count(b"ALLOW /caf\xc3\xa9\n") == 2
+
+    def test_short_writes_are_finished(self, monkeypatch):
+        # Unbuffered, stdout's byte layer is a raw file, which may take only
+        # part of a write; the rest must still go out.
+        class Trickle(io.RawIOBase):
+            def __init__(self):
+                self.taken = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                self.taken += bytes(data[:3])
+                return min(3, len(data))
+
+        raw = Trickle()
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, encoding="ascii"))
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"/caf\xc3\xa9/../a\n/\xff\n"]))
+        assert main(["canon", "--stdin"]) == 0
+        assert raw.taken == b"/a\n/\xff\n"
+
+
 class TestByteExact:
     """One set of bytes gets one set of answer bytes, whatever the locale.
 
@@ -588,12 +664,16 @@ class TestByteExact:
         ],
         ids=["stdin", "failure", "raises"],
     )
-    def test_main_puts_the_codecs_back(self, monkeypatch, argv, code, out):
-        # main switches the process's own streams to UTF-8; a caller in the
-        # same process gets each stream back with its own codec, on success
-        # and on failure, whether main returns or raises.
-        stdin = io.TextIOWrapper(io.BytesIO(b"/x/../caf\xe9\n"), encoding="latin-1")
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+    def test_main_leaves_the_codecs_alone(self, monkeypatch, argv, code, out):
+        # main reads and writes the streams' byte layers: a caller in the
+        # same process keeps each stream with its own codec, on success and
+        # on failure, whether main returns or raises, and none is switched.
+        class Unswitchable(io.TextIOWrapper):
+            def reconfigure(self, **kwargs):
+                pytest.fail(f"main reconfigured a stream: {kwargs}")
+
+        stdin = Unswitchable(io.BytesIO(b"/x/../caf\xe9\n"), encoding="latin-1")
+        stdout = Unswitchable(io.BytesIO(), encoding="latin-1")
         monkeypatch.setattr("sys.stdin", stdin)
         monkeypatch.setattr("sys.stdout", stdout)
         if code is SystemExit:
@@ -607,9 +687,8 @@ class TestByteExact:
         assert stdout.buffer.getvalue() == out
 
     def test_an_error_mid_batch_reaches_the_caller(self, monkeypatch):
-        # A stdout that fails mid-batch leaves stdin part read, which no
-        # codec can be set on; main's own error must reach the caller, and
-        # stdout must still get its codec back.
+        # A stdout that fails mid-batch leaves stdin part read; main's own
+        # error must reach the caller, and both streams keep their codecs.
         class Broken(io.RawIOBase):
             def writable(self):
                 return True
@@ -623,7 +702,8 @@ class TestByteExact:
         monkeypatch.setattr("sys.stdout", stdout)
         with pytest.raises(BrokenPipeError):
             main(["canon", "--stdin"])
-        assert (stdout.encoding, stdout.errors) == ("latin-1", "strict")
+        for stream in (stdin, stdout):
+            assert (stream.encoding, stream.errors) == ("latin-1", "strict")
 
 
 class TestVerify:
