@@ -3,9 +3,10 @@
 Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
-1 denied or violations found, 2 usage or input error or a ``verify`` sweep
-that failed (a shard, fork or pipe failed, or the oracle disagreed); over a
-batch, 2 if any line failed outranks 1 if any line was denied. ``diff``
+1 denied or violations found, 2 usage or input error, a ``verify`` sweep
+that failed (a shard, fork or pipe failed, or the oracle disagreed) or a
+stdout that its reader closed (one ``pathguard:`` line, no traceback); over
+a batch, 2 if any line failed outranks 1 if any line was denied. ``diff``
 exits 1 only when traversal residue survives in a baseline output; a
 ``bottom_up_reach`` record alone is reported but leaves the exit code at 0.
 All behavior is flag-driven; there is no environment or config-file
@@ -17,10 +18,11 @@ answer bytes, and ``sys.stdin`` and ``sys.stdout`` are left as they were.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from codecs import getincrementaldecoder
-from itertools import count, islice
+from itertools import count
 from typing import Callable, Iterator, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
@@ -35,11 +37,6 @@ from .verifier import (
 )
 
 EXIT_OK, EXIT_DENIED, EXIT_USAGE = 0, 1, 2
-
-# canon and check answer this many input lines at a time: often enough
-# that the first answers arrive while the batch is still being read, seldom
-# enough that the bulk check and a write to stdout are paid once a block.
-BLOCK_LINES = 1024
 
 # The whitelist's codec, in which any bytes read, and write back, as themselves.
 ENCODING, ERRORS = "utf-8", "surrogateescape"
@@ -112,10 +109,11 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _stdin_lines() -> Iterator[str]:
-    """Stdin's lines, read lazily a chunk at a time: each ends at "\\n",
-    dropped with any "\\r"s before it, and so may the last. A stdin without
-    a byte layer (a StringIO, say) is read as the text it holds."""
+def _stdin_blocks() -> Iterator[List[str]]:
+    """Stdin's lines, a block for each read that completes one or more: each
+    line ends at "\\n", dropped with any "\\r"s before it, and so may the
+    last. A stdin without a byte layer (a StringIO, say) is read as the text
+    it holds."""
     if hasattr(sys.stdin, "buffer"):
         read = sys.stdin.buffer.read1
         decode = getincrementaldecoder(ENCODING)(ERRORS).decode
@@ -128,9 +126,10 @@ def _stdin_lines() -> Iterator[str]:
         carry = lines.pop()
         if "\r" in text:
             lines = [line.rstrip("\r") for line in lines]
-        yield from lines
+        if lines:
+            yield lines
     if carry := carry + decode(chunk, True):
-        yield carry.rstrip("\r")
+        yield [carry.rstrip("\r")]
 
 
 def _write(text: str) -> None:
@@ -152,8 +151,9 @@ def _answer_lines(
     answer: Callable[[List[str]], Tuple[str, bool]],
 ) -> int:
     """Write ``answer(canonical texts)``, a block's output and whether it
-    denied a path, for the input lines, BLOCK_LINES at a time: stdin's,
-    read lazily, with ``--stdin``, else the one path argument.
+    denied a path, for each block of input lines: with ``--stdin``, the
+    lines each read of stdin completes, answered before the next read, else
+    the one path argument.
 
     A block's lines are put under ``root`` if there is one, held to the NUL
     and length rule in one check over the jailed paths, and the paths kept
@@ -170,15 +170,16 @@ def _answer_lines(
         return _fail("--stdin and a path argument are mutually exclusive")
     if not args.stdin and args.path is None:
         return _fail("a path argument is required (or use --stdin)")
-    lines = _stdin_lines() if args.stdin else [args.path]
+    blocks = _stdin_blocks() if args.stdin else iter([[args.path]])
     failed = denied = False
-    error: Optional[ValueError] = None
-    for first in count(1, BLOCK_LINES):
-        block: List[str] = []
+    first = 1
+    while True:
         try:
-            block.extend(islice(lines, BLOCK_LINES))  # keeps what it read
-        except ValueError as exc:  # unreadable stdin
-            error = exc
+            block = next(blocks, [])
+        except ValueError as exc:  # unreadable stdin; every earlier read is answered
+            return _fail(str(exc))
+        if not block:
+            break
         paths = block if root is None else [root + "/" + line for line in block]
         checked = _all_checked(paths)
         kept = paths if checked else []
@@ -210,10 +211,7 @@ def _answer_lines(
         out, deny = answer(texts) if texts else ("", False)
         _write(out)
         denied = denied or deny
-        if error is not None or len(block) < BLOCK_LINES:
-            break
-    if error is not None:
-        return _fail(str(error))
+        first += len(block)
     if failed:
         return EXIT_USAGE
     return EXIT_DENIED if denied else EXIT_OK
@@ -352,7 +350,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone (``| head``, say). Point stdout at
+        # /dev/null, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _fail(f"stdout: {exc.strerror}")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ answer it with.
     python tests/batch_bytes.py DIR
 
 DIR gets ``lines.txt``, bench/gen.py's seed-41 batch with NUL and
-over-long lines planted at block edges, and ``whitelist.txt``, its
+over-long lines planted alone and in pairs, and ``whitelist.txt``, its
 40,000-entry whitelist. For ``canon`` and ``check`` it also gets the
 stdout (``<command>.out``) and stderr (``<command>.err``) that
 ``pathguard <command> --stdin`` must write on that batch: the generator's
@@ -24,19 +24,20 @@ import gen  # noqa: E402
 SEED = 41
 ENTRIES = 40_000
 LINES = 100_000
-BLOCK = 1024
 
 NUL = ("/srv/www/\x00/etc/passwd", "path contains a NUL byte")
 LONG = ("/" + "a" * 4096, "path length 4097 exceeds limit 4096")
-# Line number -> (line, error): the first and last line of the batch and
-# lines on both sides of block edges.
+# Line number -> (line, error): the first and last line of the batch, two
+# pairs of neighbours early on and one line alone in the middle, so that
+# some of the blocks --stdin answers, one for each read, hold a fault and
+# most hold none.
 PLANTED = {
     1: NUL,
-    BLOCK: LONG,
-    BLOCK + 1: NUL,
-    2 * BLOCK: NUL,
-    2 * BLOCK + 1: LONG,
-    50 * BLOCK: LONG,
+    1_024: LONG,
+    1_025: NUL,
+    2_048: NUL,
+    2_049: LONG,
+    51_200: LONG,
     LINES: NUL,
 }
 

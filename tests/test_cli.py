@@ -2,8 +2,10 @@ import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +13,7 @@ import pathguard
 from pathguard import CanonicalPath, canonical, canonicalize, underflows, validate_raw
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_texts
-from pathguard.cli import BLOCK_LINES, main
+from pathguard.cli import main
 
 
 class ByteStdin:
@@ -30,6 +32,29 @@ class ByteStdin:
             return chunk
         self.at_end()
         return b""
+
+
+def spawn(*argv, **kwargs):
+    """``subprocess.Popen`` of ``python -m pathguard.cli *argv`` with this
+    pathguard importable; ``env`` entries are added to the environment."""
+    src = os.path.dirname(os.path.dirname(pathguard.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **kwargs.pop("env", {}))
+    return subprocess.Popen(
+        [sys.executable, "-m", "pathguard.cli", *argv], env=env, **kwargs
+    )
+
+
+def read_answer(stream, seconds):
+    """The bytes that ``stream`` gives up to a "\\n", or those that came
+    before ``seconds`` ran out or the stream ended."""
+    got, deadline = b"", time.monotonic() + seconds
+    while not got.endswith(b"\n") and select.select(
+        [stream], [], [], max(0.0, deadline - time.monotonic())
+    )[0]:
+        if not (chunk := os.read(stream.fileno(), 4096)):
+            break
+        got += chunk
+    return got
 
 
 def run(capsys, *argv):
@@ -351,25 +376,84 @@ class TestStdinStream:
         assert out == ""
         assert "canonical" in err
 
-    def test_first_block_written_before_stdin_ends(self, monkeypatch, whitelist_file):
+    def test_each_read_answered_before_the_next(self, monkeypatch, whitelist_file):
+        # Before each read, stdout holds one answer for each line that the
+        # earlier reads completed; a read that completes no line adds none,
+        # and the last line, with no "\\n", is answered at the end.
         out = io.StringIO()
-        seen_at_eof = []
-        lines = [(line + "\n").encode() for line in batch_lines(BLOCK_LINES + 10)]
-        stdin = ByteStdin(lines, lambda: seen_at_eof.append(out.getvalue()))
-        monkeypatch.setattr("sys.stdin", stdin)
+        seen = []
+
+        class Recording(ByteStdin):
+            def read1(self, size):
+                seen.append(out.getvalue().count("\n"))
+                return super().read1(size)
+
+        lines = batch_lines(3_000)
+        data = "\n".join(lines).encode()
+        at = [0, 3, 7, 4_000, 4_001, len(data) // 2, len(data)]
+        reads = [data[i:j] for i, j in zip(at, at[1:])]
+        monkeypatch.setattr("sys.stdin", Recording(reads))
         monkeypatch.setattr("sys.stdout", out)
         code = main(["check", "--whitelist", whitelist_file, "--stdin"])
         assert code == 1
-        assert seen_at_eof[0].count("\n") == BLOCK_LINES
-        assert out.getvalue().startswith(seen_at_eof[0])
-        assert out.getvalue().count("\n") == BLOCK_LINES + 10
+        assert seen == [data[:i].count(b"\n") for i in at]
+        assert seen[1:3] == [0, 1]
+        assert out.getvalue().count("\n") == len(lines)
+
+    @pytest.mark.parametrize(
+        "command, answers, want_code",
+        [
+            ("canon", [b"/b\n", b"/a/b/c\n"], 0),
+            ("check", [b"DENY /b\n", b"ALLOW /a/b/c\n"], 1),
+        ],
+    )
+    def test_a_caller_that_waits_gets_each_answer(
+        self, whitelist_file, command, answers, want_code
+    ):
+        # A child on a pipe, as behind ``tail -f`` or a server that sends one
+        # path and waits: each line is answered while stdin is still open.
+        extra = ["--whitelist", whitelist_file] if command == "check" else []
+        with spawn(
+            command, "--stdin", *extra, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+        ) as child:
+            try:
+                for line, answer in zip((b"/a/../b\n", b"/x/../a/b/c\n"), answers):
+                    child.stdin.write(line)
+                    child.stdin.flush()
+                    assert read_answer(child.stdout, seconds=20) == answer
+                child.stdin.close()
+                assert child.wait(timeout=60) == want_code
+            finally:
+                child.kill()
+
+    @pytest.mark.parametrize("lines", [1, 100_000])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_one_error_line(self, lines, unbuffered):
+        # A reader that goes away (``| head``, say) fails the run in one
+        # line: stdout breaks mid-batch, or only in the last flush, and the
+        # flush at exit does not fail again.
+        env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            with spawn(
+                "canon", "--stdin", env=env,
+                stdin=subprocess.PIPE, stdout=writer, stderr=subprocess.PIPE,
+            ) as child:
+                _, err = child.communicate(b"/a/../b\n" * lines, timeout=60)
+        finally:
+            os.close(writer)
+        assert child.returncode == 2
+        err = err.decode()
+        assert err.startswith("pathguard: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_blocks_join_to_the_whole_batch_output(
         self, capsys, monkeypatch, whitelist_file, command
     ):
-        # 2,500 lines span three blocks; the bytes must equal those of
-        # deciding the whole batch and writing it at once.
+        # 2,500 lines in three reads, so three blocks; the bytes must equal
+        # those of deciding the whole batch and writing it at once.
         lines = batch_lines(2_500)
         canonical = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
         if command == "canon":
@@ -377,7 +461,8 @@ class TestStdinStream:
         else:
             want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c + "\n" for c in canonical]
             want_code, extra = 1, ["--whitelist", whitelist_file]
-        monkeypatch.setattr("sys.stdin", io.StringIO("".join(t + "\n" for t in lines)))
+        text = "".join(t + "\n" for t in lines)
+        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
         code, out, err = run(capsys, command, "--stdin", *extra)
         assert (code, err) == (want_code, "")
         assert out == "".join(want)
@@ -386,8 +471,8 @@ class TestStdinStream:
     def test_read_error_keeps_the_lines_before_it(
         self, capsys, monkeypatch, whitelist_file, command
     ):
-        # stdin fails inside the second block: the 1,500 lines read before
-        # it are answered, and the failure is reported and exits 2.
+        # stdin fails after 1,500 lines, one a read: each of them is
+        # answered, and the failure is reported and exits 2.
         lines = batch_lines(1_500)
 
         def went_away():
@@ -405,8 +490,22 @@ class TestStdinStream:
         assert out == "".join(c + "\n" for c in want)
 
 
-# Lines at the edges of the first three blocks of a 2,500-line batch.
-BLOCK_EDGES = (1, BLOCK_LINES, BLOCK_LINES + 1, 2_500)
+# Lines at the edges of the blocks that edge_reads cuts a 2,500-line batch
+# into: the first and last of the first block, the first of the second and
+# the last of the batch.
+BLOCK_EDGES = (1, 1_024, 1_025, 2_500)
+
+
+def edge_reads(text):
+    """``text`` in UTF-8 as three reads, cut right after line 1,024 and in
+    the middle of line 1,800, whose start the reader carries over to the
+    third read. The lines each read completes are one block, and a last
+    line with no "\\n" is one more."""
+    data = text.encode()
+    ends = [m.end() for m in re.finditer(b"\n", data)]
+    middle = (ends[1_798] + ends[1_799]) // 2
+    assert ends[1_798] < middle < ends[1_799] - 1
+    return [data[: ends[1_023]], data[ends[1_023] : middle], data[middle:]]
 
 
 def edge_batch(fault):
@@ -471,10 +570,10 @@ ROOTS_STRICT = pytest.mark.parametrize(
 
 
 class TestBlockEdges:
-    """A failing line at a block edge takes its block through the line by
-    line walk, as ``--strict-underflow`` takes every block; every other
-    block is checked in bulk. Both must answer as each line on its own
-    would."""
+    """Each read's lines are one block. A failing line at a block edge
+    takes its block through the line by line walk, as
+    ``--strict-underflow`` takes every block; every other block is checked
+    in bulk. Both must answer as each line on its own would."""
 
     @ROOTS_STRICT
     @pytest.mark.parametrize("fault", ["/a\x00b", "z" * 4097], ids=["nul", "long"])
@@ -489,7 +588,7 @@ class TestBlockEdges:
             extra += ["--root", root]
         if strict:
             extra.append("--strict-underflow")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
         code, out, err = run(capsys, command, "--stdin", *extra)
         want_code, want_out, want_err = line_by_line(command, text, root, strict)
         assert err == want_err
@@ -514,7 +613,7 @@ class TestBlockEdges:
             extra += ["--root", root]
         if strict:
             extra.append("--strict-underflow")
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
         code, out, err = run(capsys, command, "--stdin", *extra)
         assert (code, out, err) == line_by_line(command, text, root, strict)
         jailed = "pathguard: line 700: jailed path length 4101 exceeds limit 4096\n"
@@ -540,7 +639,7 @@ class TestBlockEdges:
                 extra = ["--whitelist", whitelist_file] if command == "check" else []
                 if root is not None:
                     extra += ["--root", root]
-                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
                 code, out, err = run(
                     capsys, command, "--stdin", "--strict-underflow", *extra
                 )
@@ -689,6 +788,18 @@ class TestByteExact:
     def test_an_error_mid_batch_reaches_the_caller(self, monkeypatch):
         # A stdout that fails mid-batch leaves stdin part read; main's own
         # error must reach the caller, and both streams keep their codecs.
+        class Reads(io.RawIOBase):
+            def __init__(self, chunks):
+                self.chunks = iter(chunks)
+
+            def readable(self):
+                return True
+
+            def readinto(self, buffer):
+                chunk = next(self.chunks, b"")
+                buffer[: len(chunk)] = chunk
+                return len(chunk)
+
         class Broken(io.RawIOBase):
             def writable(self):
                 return True
@@ -696,7 +807,8 @@ class TestByteExact:
             def write(self, data):
                 raise BrokenPipeError(32, "Broken pipe")
 
-        stdin = io.TextIOWrapper(io.BytesIO(b"/a\n" * (3 * BLOCK_LINES)), encoding="latin-1")
+        reads = Reads(edge_reads("/a\n" * 3_072))
+        stdin = io.TextIOWrapper(io.BufferedReader(reads), encoding="latin-1")
         stdout = io.TextIOWrapper(Broken(), encoding="latin-1", write_through=True)
         monkeypatch.setattr("sys.stdin", stdin)
         monkeypatch.setattr("sys.stdout", stdout)
