@@ -4,11 +4,12 @@ Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
 1 denied or violations found, 2 usage or input error, a ``verify`` sweep
-that failed (a shard, fork or pipe failed, or the oracle disagreed) or a
-stdout that its reader closed (one ``pathguard:`` line, no traceback); over
-a batch, 2 if any line failed outranks 1 if any line was denied. ``diff``
-exits 1 only when traversal residue survives in a baseline output; a
-``bottom_up_reach`` record alone is reported but leaves the exit code at 0.
+that failed (a shard, fork or pipe failed, or the oracle disagreed) or an
+output that its reader closed (no traceback; one ``pathguard:`` line if it
+was stdout); over a batch, 2 if any line failed outranks 1 if any line was
+denied. ``diff`` exits 1 only when traversal residue survives in a baseline
+output; a ``bottom_up_reach`` record alone is reported but leaves the exit
+code at 0.
 All behavior is flag-driven; there is no environment or config-file
 state. Stdin and stdout are read and written as bytes in the whitelist's
 codec whatever the locale, so one set of input bytes always gets the same
@@ -134,13 +135,14 @@ def _stdin_blocks() -> Iterator[List[str]]:
 
 def _write(text: str) -> None:
     """Write ``text`` to stdout's byte layer in the whitelist's codec, after
-    its text layer, until every byte is taken: unbuffered, the byte layer is
-    a raw file, which may take fewer. A stdout without one gets the text."""
+    its text layer, until every byte is taken (a raw file, unbuffered, may
+    take fewer), then flush it for a caller who waits. Else write the text."""
     if hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         data = memoryview(text.encode(ENCODING, ERRORS))
         while data:
             data = data[sys.stdout.buffer.write(data) :]
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
 
@@ -354,10 +356,20 @@ def run() -> None:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # stdout's reader is gone (``| head``, say). Point stdout at
-        # /dev/null, so that the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = _fail(f"stdout: {exc.strerror}")
+        # A reader is gone (``| head``, say). Each stream that still fails
+        # to flush is pointed at /dev/null, so that the flush at exit cannot
+        # fail again. Only a closed stdout can be reported: a closed stderr
+        # takes the report with it.
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(null, sys.stdout.fileno())
+        try:
+            code = _fail(f"stdout: {exc.strerror}")
+        except BrokenPipeError:
+            os.dup2(null, sys.stderr.fileno())
+            code = EXIT_USAGE
     sys.exit(code)
 
 

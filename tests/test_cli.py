@@ -390,6 +390,8 @@ class TestStdinStream:
 
         lines = batch_lines(3_000)
         data = "\n".join(lines).encode()
+        # The reads that end at bytes 3 and 7 cut "/a/b/c\n", the first
+        # line: the one completes no line, the next completes it.
         at = [0, 3, 7, 4_000, 4_001, len(data) // 2, len(data)]
         reads = [data[i:j] for i, j in zip(at, at[1:])]
         monkeypatch.setattr("sys.stdin", Recording(reads))
@@ -397,7 +399,6 @@ class TestStdinStream:
         code = main(["check", "--whitelist", whitelist_file, "--stdin"])
         assert code == 1
         assert seen == [data[:i].count(b"\n") for i in at]
-        assert seen[1:3] == [0, 1]
         assert out.getvalue().count("\n") == len(lines)
 
     @pytest.mark.parametrize(
@@ -407,14 +408,17 @@ class TestStdinStream:
             ("check", [b"DENY /b\n", b"ALLOW /a/b/c\n"], 1),
         ],
     )
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_a_caller_that_waits_gets_each_answer(
-        self, whitelist_file, command, answers, want_code
+        self, whitelist_file, command, answers, want_code, unbuffered
     ):
         # A child on a pipe, as behind ``tail -f`` or a server that sends one
         # path and waits: each line is answered while stdin is still open.
         extra = ["--whitelist", whitelist_file] if command == "check" else []
+        env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
         with spawn(
-            command, "--stdin", *extra, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+            command, "--stdin", *extra, env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
         ) as child:
             try:
                 for line, answer in zip((b"/a/../b\n", b"/x/../a/b/c\n"), answers):
@@ -430,8 +434,8 @@ class TestStdinStream:
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_closed_stdout_is_one_error_line(self, lines, unbuffered):
         # A reader that goes away (``| head``, say) fails the run in one
-        # line: stdout breaks mid-batch, or only in the last flush, and the
-        # flush at exit does not fail again.
+        # line: stdout breaks mid-batch, or at the first block's write, and
+        # the flush at exit does not fail again.
         env = {"PYTHONUNBUFFERED": "1" if unbuffered else ""}
         reader, writer = os.pipe()
         os.close(reader)
@@ -447,6 +451,25 @@ class TestStdinStream:
         err = err.decode()
         assert err.startswith("pathguard: ") and err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("both", [False, True], ids=["stderr", "stdout-and-stderr"])
+    def test_closed_stderr_exits_2_quietly(self, both):
+        # A closed stderr (``2>&1 | head``, say, or a dead stderr reader)
+        # takes the report with it, but the run still exits 2, not 1 on a
+        # traceback raised while reporting.
+        reader, writer = os.pipe()
+        os.close(reader)
+        out = writer if both else subprocess.PIPE
+        try:
+            with spawn(
+                "canon", "--stdin", "--strict-underflow",
+                stdin=subprocess.PIPE, stdout=out, stderr=writer,
+            ) as child:
+                got, _ = child.communicate(b"/../a\n" * 3, timeout=60)
+        finally:
+            os.close(writer)
+        assert child.returncode == 2
+        assert got in (None, b"")
 
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_blocks_join_to_the_whole_batch_output(
