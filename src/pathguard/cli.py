@@ -4,12 +4,13 @@ Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
 1 denied or violations found, 2 usage or input error, a ``verify`` sweep
-that failed (a shard, fork or pipe failed, or the oracle disagreed) or an
+that failed (a shard, fork or pipe failed, or the oracle disagreed), an
 output that its reader closed (no traceback; one ``pathguard:`` line if it
-was stdout); over a batch, 2 if any line failed outranks 1 if any line was
-denied. ``diff`` exits 1 only when traversal residue survives in a baseline
-output; a ``bottom_up_reach`` record alone is reported but leaves the exit
-code at 0.
+was stdout), or a closed stdout, or stdin under ``--stdin`` (one line,
+before stdin is read or a sweep starts); over a batch, 2 if any line
+failed outranks 1 if any line was denied. ``diff`` exits 1 only when
+traversal residue survives in a baseline output; a ``bottom_up_reach``
+record alone is reported but leaves the exit code at 0.
 All behavior is flag-driven; there is no environment or config-file
 state. Stdin and stdout are read and written as bytes in the whitelist's
 codec whatever the locale, so one set of input bytes always gets the same
@@ -105,8 +106,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stderr(text: str) -> None:
+    """Write ``text`` to stderr; if it is closed (``None``), drop it, as
+    error text never goes to stdout."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
 def _fail(message: str) -> int:
-    print(f"pathguard: {message}", file=sys.stderr)
+    _stderr(f"pathguard: {message}\n")
     return EXIT_USAGE
 
 
@@ -120,17 +128,21 @@ def _stdin_blocks() -> Iterator[List[str]]:
         decode = getincrementaldecoder(ENCODING)(ERRORS).decode
     else:
         read, decode = sys.stdin.read, lambda text, final: text
-    carry = ""
+    # The text since the last "\n", in pieces: joined only by a read that
+    # ends a line, so a long line costs time linear in its length.
+    carry = []
     while chunk := read(READ_BYTES):
-        text = carry + decode(chunk, False)
+        carry.append(decode(chunk, False))
+        if "\n" not in carry[-1]:
+            continue
+        text = "".join(carry)
         lines = text.split("\n")
-        carry = lines.pop()
+        carry = [lines.pop()]
         if "\r" in text:
             lines = [line.rstrip("\r") for line in lines]
-        if lines:
-            yield lines
-    if carry := carry + decode(chunk, True):
-        yield [carry.rstrip("\r")]
+        yield lines
+    if last := "".join(carry) + decode(chunk, True):
+        yield [last.rstrip("\r")]
 
 
 def _write(text: str) -> None:
@@ -207,7 +219,7 @@ def _answer_lines(
                         f"{at.format(number)}{ignored} parent reference(s) ignored"
                         f" at the root in {text!r}\n"
                     )
-            sys.stderr.write("".join(reports))
+            _stderr("".join(reports))
             failed = failed or len(kept) < len(paths)
         texts = list(_canonical_texts(kept))
         out, deny = answer(texts) if texts else ("", False)
@@ -348,13 +360,19 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Python sets a stream to None when its file descriptor is closed.
+    if sys.stdout is None:
+        return _fail("stdout is closed")
+    if getattr(args, "stdin", False) and sys.stdin is None:
+        return _fail("stdin is closed")
     return args.run(args)
 
 
 def run() -> None:
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError as exc:
         # A reader is gone (``| head``, say). Each stream that still fails
         # to flush is pointed at /dev/null, so that the flush at exit cannot

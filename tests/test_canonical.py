@@ -3,8 +3,15 @@ import sys
 
 import pytest
 
+import invariant_checks
 import pathguard
-from invariant_checks import FAST_PATH_SPACES, fast_path_check
+from invariant_checks import (
+    FAST_PATH,
+    FAST_PATH_SPACES,
+    ORACLE,
+    fast_path_check,
+    findings,
+)
 from pathguard import (
     EmbeddedNul,
     EnumerationSpec,
@@ -195,11 +202,34 @@ class TestFastPath:
 
     @pytest.mark.parametrize("alphabet,visited", FAST_PATH_SPACES)
     def test_equals_the_walk_on_every_string_up_to_length_10(self, alphabet, visited):
-        # Sharded over the CPUs as the verifier's sweeps are; _sharded
-        # raises unless its shards saw exactly total_count(spec) strings.
-        spec = EnumerationSpec(alphabet=alphabet, max_len=10)
-        assert total_count(spec) == visited
+        # The sweep of "/.ab" is the one criterion 1 reads; run alone, this
+        # test sweeps the whole space.
+        assert total_count(EnumerationSpec(alphabet=alphabet, max_len=10)) == visited
+        assert findings(alphabet, FAST_PATH) == []
+
+    @pytest.mark.parametrize(
+        "name,fault,kinds",
+        [
+            (
+                "canonicalize",
+                lambda f: lambda raw: f(raw).rpartition("/")[0] or "/",
+                {FAST_PATH, ORACLE},
+            ),
+            ("underflows", lambda f: lambda raw: f(raw) + 1, {FAST_PATH}),
+            ("rewrite_canonicalize", lambda f: lambda raw: f(raw) + "/x", {ORACLE}),
+        ],
+        ids=["canonicalize-drops-a-name", "underflows-off-by-one", "wrong-oracle"],
+    )
+    def test_findings_name_the_check_that_fails(self, monkeypatch, name, fault, kinds):
+        # The shared sweep's check tags each finding with the check it fails,
+        # so a canonicalizer fault fails criterion 1 as well as this gate,
+        # and each of the others only its own. Over "/.ab" up to length 4
+        # (341 strings), outside sweep's cache.
+        spec = EnumerationSpec(alphabet="/.ab", max_len=4)
         assert _sharded(spec, fast_path_check) == []
+        real = getattr(invariant_checks, name)
+        monkeypatch.setattr(invariant_checks, name, fault(real))
+        assert {kind for kind, _ in _sharded(spec, fast_path_check)} == kinds
 
     def test_nul_never_reaches_normpath(self, monkeypatch, capsys):
         # Early 3.11 releases of the C core stopped at a NUL, which would

@@ -513,6 +513,71 @@ class TestStdinStream:
         assert out == "".join(c + "\n" for c in want)
 
 
+class TestClosedStreams:
+    """Python sets ``sys.stdin``, ``sys.stdout`` or ``sys.stderr`` to None
+    when its file descriptor is closed. A closed stdout, or a closed stdin
+    under ``--stdin``, is an input error, found before stdin is read or a
+    sweep starts; a closed stderr only loses the reports."""
+
+    @pytest.mark.parametrize(
+        "fd, argv, message",
+        [
+            (0, ["check", "--whitelist", os.devnull, "--stdin"], "stdin is closed"),
+            (0, ["canon", "--stdin"], "stdin is closed"),
+            (1, ["canon", "/a"], "stdout is closed"),
+            (1, ["verify", "--max-len", "2"], "stdout is closed"),
+        ],
+        ids=["check-stdin", "canon-stdin", "canon-stdout", "verify-stdout"],
+    )
+    def test_a_closed_stream_is_one_error_line(self, fd, argv, message):
+        with spawn(
+            *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(fd),
+        ) as child:
+            out, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (2, f"pathguard: {message}\n".encode())
+        assert out in (None, b"")
+
+    def test_a_path_argument_needs_no_stdin(self):
+        with spawn(
+            "canon", "/a/../b", stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=lambda: os.close(0),
+        ) as child:
+            assert child.communicate(timeout=60) == (b"/b\n", b"")
+        assert child.returncode == 0
+
+    @pytest.mark.parametrize(
+        "stream, argv, message",
+        [
+            ("stdin", ["canon", "--stdin"], "stdin is closed"),
+            ("stdout", ["canon", "/a"], "stdout is closed"),
+            ("stdout", ["verify", "--max-len", "2"], "stdout is closed"),
+        ],
+        ids=["canon-stdin", "canon-stdout", "verify-stdout"],
+    )
+    def test_in_process(self, capsys, monkeypatch, stream, argv, message):
+        monkeypatch.setattr(sys, stream, None)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"pathguard: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, want",
+        [
+            (["canon", "a\x00b"], 2, ""),
+            (["canon", "--strict-underflow", "/../b"], 0, "/b\n"),
+            (["canon", "--stdin"], 2, "/b\n"),
+        ],
+        ids=["error", "report", "line-error"],
+    )
+    def test_no_error_text_on_stdout_without_stderr(self, monkeypatch, argv, code, want):
+        out = io.StringIO()
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"/a/../b\n\x00\n"]))
+        monkeypatch.setattr("sys.stdout", out)
+        monkeypatch.setattr("sys.stderr", None)
+        assert main(argv) == code
+        assert out.getvalue() == want
+
+
 # Lines at the edges of the blocks that edge_reads cuts a 2,500-line batch
 # into: the first and last of the first block, the first of the second and
 # the last of the batch.
@@ -708,6 +773,20 @@ class TestReader:
         assert (code, out) == (want_code, want_out.encode("utf-8", "surrogateescape"))
         if command == "check":
             assert out.count(b"ALLOW /caf\xc3\xa9\n") == 2
+
+    def test_a_long_line_costs_linear_time(self, capsys, monkeypatch):
+        # 16 MiB in 64 KiB reads with no "\n", then two line ends: the text
+        # carried between reads is joined once, when a read ends the line.
+        # Joined on every read, it took 3.2 s (Python 3.11.7, 2 CPUs); joined
+        # once, 0.08 s.
+        reads = [b"a" * (1 << 16)] * 256 + [b"\n/a/../b\n"]
+        monkeypatch.setattr("sys.stdin", ByteStdin(reads))
+        started = time.perf_counter()
+        code, out, err = run(capsys, "canon", "--stdin")
+        elapsed = time.perf_counter() - started
+        assert (code, out) == (2, "/b\n")
+        assert err == "pathguard: line 1: path length 16777216 exceeds limit 4096\n"
+        assert elapsed < 1.0
 
     def test_short_writes_are_finished(self, monkeypatch):
         # Unbuffered, stdout's byte layer is a raw file, which may take only
