@@ -4,17 +4,19 @@ Subcommands: ``canon`` (print the canonical form), ``check`` (whitelist
 decision), ``verify`` (exhaustive residue sweep / preimage search), and
 ``diff`` (legacy-baseline differential run). Exit codes: 0 allowed/clean,
 1 denied or violations found, 2 usage or input error, a ``verify`` sweep
-that failed (a shard, fork or pipe failed, or the oracle disagreed), an
-output that its reader closed (no traceback; one ``pathguard:`` line if it
-was stdout), or a closed stdout, or stdin under ``--stdin`` (one line,
+that failed (a shard, fork or pipe failed, or the oracle disagreed), a
+failed write to either output (its reader closed it, or it cannot be
+written; no traceback, one ``pathguard:`` line if it was stdout), a failed
+stdin read, or a closed stdout, or stdin under ``--stdin`` (one line,
 before stdin is read or a sweep starts); over a batch, 2 if any line
 failed outranks 1 if any line was denied. ``diff`` exits 1 only when
 traversal residue survives in a baseline output; a ``bottom_up_reach``
 record alone is reported but leaves the exit code at 0.
 All behavior is flag-driven; there is no environment or config-file
-state. Stdin and stdout are read and written as bytes in the whitelist's
-codec whatever the locale, so one set of input bytes always gets the same
-answer bytes, and ``sys.stdin`` and ``sys.stdout`` are left as they were.
+state. Stdin is read, and stdout and stderr are written, as bytes in the
+whitelist's codec whatever the locale, so one set of input bytes always
+gets the same answer and report bytes, and the ``sys`` streams are left as
+they were.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import sys
 import time
 from codecs import getincrementaldecoder
 from itertools import count
-from typing import Callable, Iterator, List, Optional, TextIO, Tuple
+from typing import Iterator, List, Optional, TextIO
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_texts, load_whitelist, underflows
@@ -72,12 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "canon", parents=[paths], help="print the canonical form of a path"
-    ).set_defaults(run=_cmd_canon)
+    ).set_defaults(run=_cmd_paths, whitelist=None)
 
     check = sub.add_parser(
         "check", parents=[paths], help="check a path against a whitelist"
     )
-    check.set_defaults(run=_cmd_check)
+    check.set_defaults(run=_cmd_paths)
     check.add_argument("--whitelist", required=True, help="whitelist file")
     check.add_argument(
         "--canonicalize-entries",
@@ -107,10 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _stderr(text: str) -> None:
-    """Write ``text`` to stderr; if it is closed (``None``), drop it, as
-    error text never goes to stdout."""
+    """Write ``text`` to stderr as :func:`_write` does; if it is closed
+    (``None``), drop it, as error text never goes to stdout."""
     if sys.stderr is not None:
-        sys.stderr.write(text)
+        _write(sys.stderr, text)
 
 
 def _fail(message: str) -> int:
@@ -145,41 +147,54 @@ def _stdin_blocks() -> Iterator[List[str]]:
         yield [last.rstrip("\r")]
 
 
-def _write(text: str) -> None:
-    """Write ``text`` to stdout's byte layer in the whitelist's codec, after
-    its text layer, until every byte is taken (a raw file, unbuffered, may
-    take fewer), then flush it for a caller who waits. Else write the text."""
-    if hasattr(sys.stdout, "buffer"):
-        sys.stdout.flush()
+def _write(stream: TextIO, text: str) -> None:
+    """Write ``text`` to ``stream``'s byte layer in the whitelist's codec,
+    after its text layer, until every byte is taken (a raw file, unbuffered,
+    may take fewer), then flush it for a caller who waits. Else write the
+    text."""
+    if hasattr(stream, "buffer"):
+        stream.flush()
         data = memoryview(text.encode(ENCODING, ERRORS))
         while data:
-            data = data[sys.stdout.buffer.write(data) :]
-        sys.stdout.buffer.flush()
+            data = data[stream.buffer.write(data) :]
+        stream.buffer.flush()
     else:
-        sys.stdout.write(text)
+        stream.write(text)
 
 
-def _answer_lines(
-    args: argparse.Namespace,
-    root: Optional[CanonicalPath],
-    answer: Callable[[List[str]], Tuple[str, bool]],
-) -> int:
-    """Write ``answer(canonical texts)``, a block's output and whether it
-    denied a path, for each block of input lines: with ``--stdin``, the
-    lines each read of stdin completes, answered before the next read, else
-    the one path argument.
+def _open_lines(path: str) -> TextIO:
+    """A whitelist or corpus file, read in the whitelist's codec."""
+    return open(path, encoding=ENCODING, errors=ERRORS)
 
-    A block's lines are put under ``root`` if there is one, held to the NUL
-    and length rule in one check over the jailed paths, and the paths kept
-    are canonicalized in one ``map`` of ``_canonical_texts``, the form the
-    verifier's sweeps certify. A block that fails the check, or any block
-    under ``--strict-underflow``, is also walked line by line: each failing
-    line is dropped and named by number, and under the flag each line with
-    ".." reports, as sent, the parts ignored at the root that
+
+def _cmd_paths(args: argparse.Namespace) -> int:
+    """Answer ``canon``, or ``check`` against ``--whitelist``, for each
+    block of input lines: with ``--stdin``, the lines each read of stdin
+    completes, answered before the next read, else the one path argument.
+    ``canon`` writes each canonical text on its own line, ``check`` each
+    text after ``ALLOW `` or ``DENY ``.
+
+    A block's lines are put under ``--root`` if there is one, held to the
+    NUL and length rule in one check over the jailed paths, and the paths
+    kept are canonicalized in one ``map`` of ``_canonical_texts``, the form
+    the verifier's sweeps certify. A block that fails the check, or any
+    block under ``--strict-underflow``, is also walked line by line: each
+    failing line is dropped and named by number, and under the flag each
+    line with ".." reports, as sent, the parts ignored at the root that
     :func:`underflows` counts (normpath, not the stack walk), in line order
-    in one stderr write. Exit 2 if a line failed or stdin could not be read,
-    else 1 if a path was denied, else 0.
+    in one stderr write. Exit 2 if a line failed or stdin could not be
+    read, else 1 if a path was denied, else 0.
     """
+    try:
+        root = None if args.root is None else CanonicalPath(args.root)
+        whitelist = None
+        if args.whitelist is not None:
+            with _open_lines(args.whitelist) as fh:
+                whitelist = load_whitelist(
+                    fh, canonicalize_entries=args.canonicalize_entries
+                )
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc))
     if args.stdin and args.path is not None:
         return _fail("--stdin and a path argument are mutually exclusive")
     if not args.stdin and args.path is None:
@@ -190,7 +205,7 @@ def _answer_lines(
     while True:
         try:
             block = next(blocks, [])
-        except ValueError as exc:  # unreadable stdin; every earlier read is answered
+        except (OSError, ValueError) as exc:  # unreadable stdin; earlier reads answered
             return _fail(str(exc))
         if not block:
             break
@@ -221,45 +236,19 @@ def _answer_lines(
                     )
             _stderr("".join(reports))
             failed = failed or len(kept) < len(paths)
-        texts = list(_canonical_texts(kept))
-        out, deny = answer(texts) if texts else ("", False)
-        _write(out)
-        denied = denied or deny
+        answers = list(_canonical_texts(kept))
+        if whitelist is not None:
+            allowed = list(map(whitelist.__contains__, answers))
+            denied = denied or not all(allowed)
+            answers = [
+                ("ALLOW " if ok else "DENY ") + t for ok, t in zip(allowed, answers)
+            ]
+        answers.append("")
+        _write(sys.stdout, "\n".join(answers))
         first += len(block)
     if failed:
         return EXIT_USAGE
     return EXIT_DENIED if denied else EXIT_OK
-
-
-def _cmd_canon(args: argparse.Namespace) -> int:
-    try:
-        root = None if args.root is None else CanonicalPath(args.root)
-    except ValueError as exc:
-        return _fail(str(exc))
-    return _answer_lines(args, root, lambda t: ("\n".join(t) + "\n", False))
-
-
-def _open_lines(path: str) -> TextIO:
-    """A whitelist or corpus file, read in the whitelist's codec."""
-    return open(path, encoding=ENCODING, errors=ERRORS)
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        root = None if args.root is None else CanonicalPath(args.root)
-        with _open_lines(args.whitelist) as fh:
-            whitelist = load_whitelist(
-                fh, canonicalize_entries=args.canonicalize_entries
-            )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
-    def decide(texts: List[str]) -> Tuple[str, bool]:
-        allowed = list(map(whitelist.__contains__, texts))
-        answers = [("ALLOW " if ok else "DENY ") + t for ok, t in zip(allowed, texts)]
-        return "\n".join(answers) + "\n", not all(allowed)
-
-    return _answer_lines(args, root, decide)
 
 
 def _hex(text: object) -> Optional[str]:
@@ -309,7 +298,7 @@ def _report(args: argparse.Namespace, doc: dict, lines: list, started: float) ->
     if args.format == "structured":
         import json  # only here: canon and check never load it
         lines = [json.dumps(_utf8_fields(doc))]
-    _write("\n".join(lines) + "\n")
+    _write(sys.stdout, "\n".join(lines) + "\n")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -373,19 +362,21 @@ def run() -> None:
         code = main()
         if sys.stdout is not None:
             sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # A reader is gone (``| head``, say). Each stream that still fails
-        # to flush is pointed at /dev/null, so that the flush at exit cannot
-        # fail again. Only a closed stdout can be reported: a closed stderr
-        # takes the report with it.
+    except OSError as exc:
+        # An output failed: its reader is gone (``| head``, say) or it
+        # cannot be written (EBADF). Each stream that still fails to flush
+        # is pointed at /dev/null, so that the flush at exit cannot fail
+        # again. Only a failed stdout can be reported: a failed stderr takes
+        # the report with it.
         null = os.open(os.devnull, os.O_WRONLY)
         try:
-            sys.stdout.flush()
-        except BrokenPipeError:
+            if sys.stdout is not None:
+                sys.stdout.flush()
+        except OSError:
             os.dup2(null, sys.stdout.fileno())
         try:
             code = _fail(f"stdout: {exc.strerror}")
-        except BrokenPipeError:
+        except OSError:
             os.dup2(null, sys.stderr.fileno())
             code = EXIT_USAGE
     sys.exit(code)

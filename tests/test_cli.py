@@ -11,6 +11,7 @@ import pytest
 
 import pathguard
 from pathguard import CanonicalPath, canonical, canonicalize, underflows, validate_raw
+from pathguard import cli
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_texts
 from pathguard.cli import main
@@ -490,16 +491,19 @@ class TestStdinStream:
         assert (code, err) == (want_code, "")
         assert out == "".join(want)
 
+    # An undecodable stdin raises ValueError, a failed read (ECONNRESET on
+    # a socket, say) an OSError.
+    @pytest.mark.parametrize("error", [ValueError, ConnectionResetError])
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_read_error_keeps_the_lines_before_it(
-        self, capsys, monkeypatch, whitelist_file, command
+        self, capsys, monkeypatch, whitelist_file, command, error
     ):
         # stdin fails after 1,500 lines, one a read: each of them is
         # answered, and the failure is reported and exits 2.
         lines = batch_lines(1_500)
 
         def went_away():
-            raise ValueError("stdin went away")
+            raise error("stdin went away")
 
         stdin = ByteStdin([(line + "\n").encode() for line in lines], went_away)
         want = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
@@ -545,6 +549,66 @@ class TestClosedStreams:
         ) as child:
             assert child.communicate(timeout=60) == (b"/b\n", b"")
         assert child.returncode == 0
+
+    @pytest.mark.parametrize(
+        "output, argv",
+        [
+            ("stderr", ["canon", "--strict-underflow", "/../b"]),
+            ("stderr", ["check", "--whitelist", os.devnull + "/missing", "/a"]),
+            ("stdout", ["canon", "/a"]),
+        ],
+        ids=["stderr-report", "stderr-error", "stdout"],
+    )
+    def test_an_unwritable_output_exits_2(self, output, argv):
+        # An output opened read-only fails each write with EBADF, not a
+        # broken pipe: still exit 2, not 1 on a traceback, with one
+        # pathguard: line if it was stdout.
+        streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with open(os.devnull, "rb") as unwritable:
+            streams[output] = unwritable
+            with spawn(*argv, **streams) as child:
+                out, err = child.communicate(timeout=60)
+        assert child.returncode == 2
+        if output == "stdout":
+            assert err.startswith(b"pathguard: stdout: ") and err.count(b"\n") == 1
+        else:
+            assert out == b""
+
+    def test_a_closed_stdout_and_a_broken_stderr_exit_2(self):
+        # stdout is closed, and the report of it meets a stderr whose
+        # reader is gone: the report is lost, and the run exits 2.
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            with spawn(
+                "canon", "/a", stderr=writer, preexec_fn=lambda: os.close(1)
+            ) as child:
+                assert child.wait(timeout=60) == 2
+        finally:
+            os.close(writer)
+
+    def test_run_without_stdout_or_a_working_stderr(self, monkeypatch):
+        # The same, in-process: run() neither flushes a stdout that is None
+        # nor lets the failed report escape, and it exits 2.
+        reader, writer = os.pipe()
+
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return writer
+
+        monkeypatch.setattr(sys, "argv", ["pathguard", "canon", "/a"])
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", Broken())
+        try:
+            with pytest.raises(SystemExit) as raised:
+                cli.run()
+        finally:
+            os.close(reader)
+            os.close(writer)
+        assert raised.value.code == 2
 
     @pytest.mark.parametrize(
         "stream, argv, message",
@@ -843,18 +907,27 @@ class TestByteExact:
             capture_output=True,
             timeout=60,
         )
-        return done.returncode, done.stdout
+        return done.returncode, done.stdout, done.stderr
 
     @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
     def test_stdin(self, environment, latin1_whitelist):
         argv = ["check", "--whitelist", latin1_whitelist, "--stdin"]
         got = self.child(environment, argv, b"/ok\n/caf\xe9\n/a/b\n")
-        assert got == (1, b"DENY /ok\nALLOW /caf\xe9\nDENY /a/b\n")
+        assert got == (1, b"DENY /ok\nALLOW /caf\xe9\nDENY /a/b\n", b"")
 
     @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
     def test_argv(self, environment, latin1_whitelist):
         argv = [b"check", b"--whitelist", latin1_whitelist.encode(), b"/x/../caf\xe9"]
-        assert self.child(environment, argv) == (0, b"ALLOW /caf\xe9\n")
+        assert self.child(environment, argv) == (0, b"ALLOW /caf\xe9\n", b"")
+
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
+    def test_stderr(self, environment):
+        # A report quotes the line as sent, in the same codec as stdout.
+        argv = ["canon", "--stdin", "--strict-underflow"]
+        report = b"pathguard: line 1: 1 parent reference(s) ignored at the root in"
+        assert self.child(environment, argv, b"/../caf\xc3\xa9\n") == (
+            0, b"/caf\xc3\xa9\n", report + b" '/../caf\xc3\xa9'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv,code,out",
