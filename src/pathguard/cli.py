@@ -47,8 +47,16 @@ ENCODING, ERRORS = "utf-8", "surrogateescape"
 READ_BYTES = 1 << 16  # the most that --stdin reads at a time
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's usage, error and help text, byte-exact through :func:`_write`."""
+
+    def _print_message(self, message: str, file: Optional[TextIO] = None) -> None:
+        if message:
+            _write(file or sys.stderr, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pathguard",
         description="Lexical path canonicalization and whitelist checking.",
     )
@@ -108,15 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stderr(text: str) -> None:
-    """Write ``text`` to stderr as :func:`_write` does; if it is closed
-    (``None``), drop it, as error text never goes to stdout."""
-    if sys.stderr is not None:
-        _write(sys.stderr, text)
-
-
 def _fail(message: str) -> int:
-    _stderr(f"pathguard: {message}\n")
+    _write(sys.stderr, f"pathguard: {message}\n")
     return EXIT_USAGE
 
 
@@ -147,11 +148,14 @@ def _stdin_blocks() -> Iterator[List[str]]:
         yield [last.rstrip("\r")]
 
 
-def _write(stream: TextIO, text: str) -> None:
+def _write(stream: Optional[TextIO], text: str) -> None:
     """Write ``text`` to ``stream``'s byte layer in the whitelist's codec,
     after its text layer, until every byte is taken (a raw file, unbuffered,
     may take fewer), then flush it for a caller who waits. Else write the
-    text."""
+    text. A closed stream (``None``) takes nothing, so error text is
+    dropped with stderr closed, and never goes to stdout."""
+    if stream is None:
+        return
     if hasattr(stream, "buffer"):
         stream.flush()
         data = memoryview(text.encode(ENCODING, ERRORS))
@@ -234,7 +238,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
                         f"{at.format(number)}{ignored} parent reference(s) ignored"
                         f" at the root in {text!r}\n"
                     )
-            _stderr("".join(reports))
+            _write(sys.stderr, "".join(reports))
             failed = failed or len(kept) < len(paths)
         answers = list(_canonical_texts(kept))
         if whitelist is not None:

@@ -116,28 +116,39 @@ def validate_raw(text: str) -> RawPathString:
     return _new(RawPathString, text)
 
 
-def is_canonical_text(text: str) -> bool:
-    """True iff ``text`` is a fixpoint of canonicalization.
+def _residue(text: str) -> List[str]:
+    """The flaws that keep ``text`` from being canonical, in this order:
+    "missing-leading-slash", "trailing-slash" (on any text but "/"), then
+    each of "//", "/./" and "/../" in the text closed by a "/" (appended
+    unless it ends with one). Empty exactly when the text is canonical: "/",
+    or absolute with no trailing "/" and no component "", "." or "..",
+    which, closed by a "/", are exactly "//", "/./" and "/../"."""
+    # Written out, not as a loop or a comprehension: CanonicalPath() runs it.
+    flaws = []
+    if not text or text[0] != "/":
+        flaws.append("missing-leading-slash")
+    if not text or text[-1] != "/":
+        text += "/"
+    elif text != "/":
+        flaws.append("trailing-slash")
+    if "//" in text:
+        flaws.append("//")
+    if "/./" in text:
+        flaws.append("/./")
+    if "/../" in text:
+        flaws.append("/../")
+    return flaws
 
-    A string is canonical exactly when it is "/" or it is absolute, has no
-    trailing separator, and every component is a non-empty name other than
-    "." and "..". With a "/" appended, an empty, "." or ".." component is
-    exactly an occurrence of "//", "/./" or "/../", so the check is three
-    substring searches. A trailing separator needs no test of its own: it
-    leaves an empty last component, so the appended "/" makes it a "//".
-    """
-    if text == "/":
-        return True
-    if not text.startswith("/"):
-        return False
-    text += "/"
-    return "//" not in text and "/./" not in text and "/../" not in text
+
+def is_canonical_text(text: str) -> bool:
+    """True iff ``text`` is canonical: it has no :func:`_residue` flaw."""
+    return not _residue(text)
 
 
 def _all_canonical(texts: List[str]) -> bool:
-    """``all(map(is_canonical_text, texts))``, in a fixed number of C-level
-    passes over the list and one joined string, with no Python call per
-    text.
+    """``all(map(is_canonical_text, texts))``: no text has a :func:`_residue`
+    flaw. Checked in a fixed number of C-level passes over the list and one
+    joined string, with no Python call per text.
 
     Each text is framed as ``"\\0" + text + "/"``, closed by the next
     frame's NUL. Texts that hold a NUL are checked one by one; without
@@ -170,7 +181,7 @@ class CanonicalPath(str):
     __slots__ = ()
 
     def __new__(cls, text: str) -> "CanonicalPath":
-        if not is_canonical_text(text):
+        if _residue(text):
             raise ValueError(f"not in canonical form: {text!r}")
         return _new(cls, text)
 

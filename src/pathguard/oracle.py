@@ -55,8 +55,9 @@ def rewrite_canonicalize(raw: RawPathString) -> CanonicalPath:
             text = text[:start] + text[at + 3 :]
             at = text.find("/../", start)
     # The anchored text starts and ends with "/". If it holds no "//", "/./"
-    # or "/../", it strips to a canonical result: these are the searches
-    # is_canonical_text runs, made here without a call.
+    # or "/../", it strips to a canonical result: these are the searches of
+    # model._residue on a text already closed by a "/", made here without a
+    # call and without sharing its code.
     if "//" in text or "/./" in text or "/../" in text:
         raise ValueError(f"not in canonical form: {text[:-1]!r}")
     if len(text) > 1:

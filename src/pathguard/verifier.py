@@ -4,14 +4,13 @@ Instead of symbolic execution, every string over a small alphabet (which
 holds no NUL) up to a length bound is enumerated in shortlex order and
 pushed, as plain text, through ``_canonical_texts``, the bulk form of the
 formula that computes every decision's text: the residue sweep certifies
-that no traversal characters survive in any output, and the preimage
-search lists every input that reaches a chosen canonical target
+that every output is canonical, with no ``model._residue`` flaw, and the
+preimage search lists every input that reaches a chosen canonical target
 (cross-checked against the independent rewriting oracle).
 
 A sweep visits at most ``MAX_SWEEP`` (2,000,000) strings; a larger space
 is refused with :class:`BudgetExceeded` before any string is visited. The
-limit is fixed: no flag or argument raises it. Over the default "/.abc",
-``max_len`` 8 (488,281 strings) runs and 9 (2,441,406) is refused.
+limit is fixed: no flag or argument raises it.
 
 One enumerator, ``_blocks``, walks the shortlex order a prefix block at a
 time. A block is a pair ``(prefix, suffixes)`` that stands for the strings
@@ -43,27 +42,23 @@ the pins every shard could share one CPU and a sweep would take as long as
 on one. The caller puts back the mask it read once every child is reaped
 or killed, whether the sweep passed or failed. Placement only affects
 speed: where the kernel refuses a mask, that process runs where it is,
-and where there is no mask nothing is forked or pinned. On 2 CPUs with
-load balancing off, the pins took the default residue sweep from 0.115 to
-0.058 s and the preimages of "/a/b/c" from 0.083 to 0.043 s (medians of
-10 benchmark runs each).
+and where there is no mask nothing is forked or pinned; README gives the
+speed-up measured.
 
 One runner, in the caller and in each child alike, hands its shard to the
 check a block at a time and counts the strings it hands out; ``_sharded``
 raises unless the counts add up to the whole space. The residue check
-maps ``canonical._canonical_texts``, the bulk form of the formula every
-decision uses, over a block's suffixes with the prefix fused into
-normpath's argument, so a string costs one C-level concatenation and no
-Python frame. It tests all of the outputs at once with
-``model._all_canonical``, a fixed number of C-level passes over one
-joined string. A string has no residue finding exactly when its output is
-canonical, so a clean block runs no per-string Python code and never
-builds its strings; only a block that fails the test is walked string by
-string to name its findings. The preimage check lists a block's outputs
-and scans the list for the target once, in C; only a block that holds a
-hit picks its hits among the suffixes with ``itertools.compress`` and
-puts the prefix in front of the hits alone. Either way the findings, and
-their order, are those of a walk of one string at a time.
+maps ``canonical._canonical_texts`` over a block's suffixes with the
+prefix fused into normpath's argument, so a string costs one C-level
+concatenation and no Python frame, and tests all of the outputs at once
+with ``model._all_canonical``. A clean block runs no per-string Python
+code and never builds its strings. Only a block that fails is walked
+string by string: a string's findings are the flaws that
+``model._residue``, the one statement of the canonical-form rule, names
+in its output. The preimage check lists a block's outputs and scans them
+for the target once, in C; only a block that holds a hit picks its hits
+among the suffixes with ``itertools.compress``. Either way the findings,
+and their order, are those of a walk of one string at a time.
 """
 
 from __future__ import annotations
@@ -76,6 +71,7 @@ from typing import NamedTuple, Tuple
 
 from .canonical import _canonical_texts
 from .model import BudgetExceeded, CanonicalPath, RawPathString, _all_canonical, _new
+from .model import _residue
 from .oracle import rewrite_canonicalize
 
 DEFAULT_ALPHABET = "/.abc"
@@ -300,28 +296,13 @@ def _residue_check(prefix: str, suffixes: List[str]) -> list:
     outs = list(_canonical_texts(suffixes, prefix))
     if _all_canonical(outs):
         return []
-    found = []
-    for text, out in zip(map(prefix.__add__, suffixes), outs):
-        if not out.startswith("/"):
-            found.append((text, out, "missing-leading-slash"))
-        trailing = out.endswith("/")
-        if trailing and out != "/":
-            found.append((text, out, "trailing-slash"))
-        # Closed by a "/", a last "." or ".." shows as "/./" or "/../".
-        closed = out if trailing else out + "/"
-        for bad in ("//", "/./", "/../"):
-            if bad in closed:
-                found.append((text, out, bad))
-    return found
+    texts = map(prefix.__add__, suffixes)
+    return [(t, out, flaw) for t, out in zip(texts, outs) for flaw in _residue(out)]
 
 
 def verify_no_residue(spec: EnumerationSpec) -> List[ResidueViolation]:
     """Sweep the whole input space; an empty result certifies no-residue.
-
-    Every enumerated string is canonicalized and the output checked for
-    "//", "/./", "/../", a last "/." or "/.." (reported as "/./", "/../"),
-    a missing leading "/", or a non-root trailing "/".
-    """
+    Each ``model._residue`` flaw of each output is one violation, in order."""
     return [ResidueViolation(*found) for found in _sharded(spec, _residue_check)]
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import select
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -873,6 +875,140 @@ class TestReader:
         assert raw.taken == b"/a\n/\xff\n"
 
 
+# The --stdin boundary sweep's input bytes, one of each kind a line can
+# hold: a separator, a dot, a name byte, a space, a "\r", the line end, a
+# NUL and a byte that is not UTF-8.
+SWEEP_BYTES = [bytes([b]) for b in b"/. a\r\n\x00\xff"]
+# Canonical texts over the same bytes, the sweep's check whitelist; "\udcff"
+# is how surrogateescape reads the byte b"\xff".
+SWEEP_ALLOWED = ("/", "/a", "/ a", "/a a", "/\udcff", "/a/.a", "/..a", "/a\ra")
+
+
+def stdin_runs(max_len):
+    """Every byte string over SWEEP_BYTES up to ``max_len`` bytes, in
+    shortlex order, with its runs: the string as one read, then cut into
+    two reads at every inner point. The empty string is one run of no
+    reads, so a string of ``n`` bytes has ``max(n, 1)`` runs."""
+    for n in range(max_len + 1):
+        for chars in itertools.product(SWEEP_BYTES, repeat=n):
+            data = b"".join(chars)
+            yield data, [[data][:n], *([data[:i], data[i:]] for i in range(1, n))]
+
+
+def stdin_reference(data, allowed=None, strict=False):
+    """The exit code, stdout and stderr of ``--stdin`` on ``data``, from the
+    line rules alone: split on "\n", drop one final empty piece, strip
+    trailing "\r"s, decode with surrogateescape; a NUL is an error on its
+    line. Every other line is walked on a stack of its own, which gives its
+    canonical text and the ".." it ignores at the root, reported under
+    ``strict``. With ``allowed``, the answer is ``check``'s."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    out, err, failed, denied = [], [], False, False
+    for number, piece in enumerate(pieces, start=1):
+        line = piece.rstrip(b"\r").decode("utf-8", "surrogateescape")
+        if "\x00" in line:
+            err.append(f"pathguard: line {number}: path contains a NUL byte\n")
+            failed = True
+            continue
+        stack, ignored = [], 0
+        for part in line.split("/"):
+            if part == "..":
+                if stack:
+                    stack.pop()
+                else:
+                    ignored += 1
+            elif part not in ("", "."):
+                stack.append(part)
+        text = "/" + "/".join(stack)
+        if strict and ignored:
+            err.append(
+                f"pathguard: line {number}: {ignored} parent reference(s) ignored"
+                f" at the root in {line!r}\n"
+            )
+        if allowed is not None:
+            denied = denied or text not in allowed
+            text = ("ALLOW " if text in allowed else "DENY ") + text
+        out.append(text + "\n")
+    return 2 if failed else int(denied), "".join(out), "".join(err)
+
+
+class TestStdinSweep:
+    """Every input of a few bytes, cut into reads every way, gets from
+    ``--stdin`` the exit code, stdout and stderr that the line rules give
+    (``stdin_reference``, which shares no code with pathguard.canonical).
+    The command function runs in-process on a parsed Namespace: through
+    argparse, each of the 72,228 runs would pay for a parse."""
+
+    MODES = pytest.mark.parametrize(
+        "command, strict",
+        [("canon", False), ("canon", True), ("check", False), ("check", True)],
+        ids=["canon", "canon-strict", "check", "check-strict"],
+    )
+
+    @staticmethod
+    def sweep(monkeypatch, command, strict, max_len):
+        """The number of runs, and up to five that differ from the
+        reference, as (reads, got, want). ``check`` reads its whitelist
+        from memory: from a file, each run would pay for opening it."""
+        argv = [command, "--stdin"] + ["--strict-underflow"] * strict
+        allowed = None
+        if command == "check":
+            allowed = SWEEP_ALLOWED
+            text = "".join(t + "\n" for t in allowed)
+            monkeypatch.setattr(cli, "_open_lines", lambda path: io.StringIO(text))
+            argv += ["--whitelist", "allowed.txt"]
+        args = cli._build_parser().parse_args(argv)
+        out, err = [], []
+        monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=out.append))
+        monkeypatch.setattr("sys.stderr", types.SimpleNamespace(write=err.append))
+        # Set once through monkeypatch, whose teardown puts the real stdin
+        # back after the runs below replace it.
+        monkeypatch.setattr("sys.stdin", None)
+        runs, wrong = 0, []
+        for data, cuts in stdin_runs(max_len):
+            want = stdin_reference(data, allowed, strict)
+            for reads in cuts:
+                sys.stdin = ByteStdin(reads)
+                got = (cli._cmd_paths(args), "".join(out), "".join(err))
+                out.clear()
+                err.clear()
+                runs += 1
+                if got != want and len(wrong) < 5:
+                    wrong.append((reads, got, want))
+        return runs, wrong
+
+    @MODES
+    def test_every_input_up_to_length_4(self, monkeypatch, command, strict):
+        runs, wrong = self.sweep(monkeypatch, command, strict, 4)
+        assert (runs, wrong) == (18_057, [])
+
+    @pytest.mark.overnight
+    @MODES
+    def test_every_input_up_to_length_5(self, monkeypatch, command, strict):
+        runs, wrong = self.sweep(monkeypatch, command, strict, 5)
+        assert (runs, wrong) == (181_897, [])
+
+    def test_the_reference(self):
+        # The rules the sweep holds --stdin to, on inputs whose answers are
+        # known: a kept "\r" inside a line, a space kept before one, a line
+        # cut by a NUL, a last line with no "\n", and a byte that is not
+        # UTF-8.
+        data = b"a\r \r\r\n..\x00\n/../ \n\xff/..\r"
+        assert stdin_reference(data) == (
+            2, "/a\r \n/ \n/\n", "pathguard: line 2: path contains a NUL byte\n"
+        )
+        assert stdin_reference(data, SWEEP_ALLOWED, strict=True) == (
+            2,
+            "DENY /a\r \nDENY / \nALLOW /\n",
+            "pathguard: line 2: path contains a NUL byte\n"
+            "pathguard: line 3: 1 parent reference(s) ignored at the root in '/../ '\n",
+        )
+        assert stdin_reference(b"") == (0, "", "")
+        assert stdin_reference(b"\n") == stdin_reference(b"\r") == (0, "/\n", "")
+
+
 class TestByteExact:
     """One set of bytes gets one set of answer bytes, whatever the locale.
 
@@ -928,6 +1064,18 @@ class TestByteExact:
         assert self.child(environment, argv, b"/../caf\xc3\xa9\n") == (
             0, b"/caf\xc3\xa9\n", report + b" '/../caf\xc3\xa9'\n"
         )
+
+    @pytest.mark.parametrize("environment", sorted(ENVIRONMENTS))
+    @pytest.mark.parametrize(
+        "flag", [b"--caf\xc3\xa9", b"--caf\xe9"], ids=["utf-8", "xff"]
+    )
+    def test_usage_error(self, environment, flag):
+        # argparse's own error text goes out through the same writer as
+        # pathguard's: a flag it does not know comes back as its bytes.
+        code, out, err = self.child(environment, [b"canon", flag, b"/a"])
+        assert (code, out) == (2, b"")
+        want = b"pathguard: error: unrecognized arguments: " + flag + b"\n"
+        assert err.endswith(want)
 
     @pytest.mark.parametrize(
         "argv,code,out",

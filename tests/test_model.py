@@ -25,6 +25,7 @@ from pathguard import (
     validate_raw,
 )
 from pathguard.model import MAX_PATH_LEN, _all_canonical, _all_checked, _checked
+from pathguard.model import _residue
 from pathguard.verifier import _sharded
 
 
@@ -104,6 +105,57 @@ class TestCanonicalPath:
         for text in strings:
             fix = canonicalize(validate_raw(text)) == text
             assert is_canonical_text(text) == fix, text
+
+
+def _flaws_by_parts(text):
+    """``_residue``'s flaws, named from the parts of ``text`` split on "/":
+    a part between two "/" of the text closed by one is an empty, "." or
+    ".." component exactly when the closed text holds "//", "/./" or
+    "/../" there."""
+    parts = text.split("/")
+    rooted = len(parts) > 1 and parts[0] == ""
+    trailing = len(parts) > 1 and parts[-1] == ""
+    inner = (parts if trailing else [*parts, ""])[1:-1]
+    flaws = [] if rooted else ["missing-leading-slash"]
+    if trailing and parts != ["", ""]:
+        flaws.append("trailing-slash")
+    for part, name in (("", "//"), (".", "/./"), ("..", "/../")):
+        if part in inner:
+            flaws.append(name)
+    return flaws
+
+
+class TestResidue:
+    @pytest.mark.parametrize(
+        "text, flaws",
+        [
+            ("/", []),
+            ("/a/b", []),
+            ("/...", []),
+            ("", ["missing-leading-slash"]),
+            ("./", ["missing-leading-slash", "trailing-slash"]),
+            ("a/./b/..", ["missing-leading-slash", "/./", "/../"]),
+            ("//", ["trailing-slash", "//"]),
+            ("/a/", ["trailing-slash"]),
+            ("/./../", ["trailing-slash", "/./", "/../"]),
+            ("/a//..", ["//", "/../"]),
+        ],
+    )
+    def test_names_each_flaw_in_order(self, text, flaws):
+        assert _residue(text) == flaws
+        assert is_canonical_text(text) == (not flaws)
+
+    def test_equals_a_split_namer_on_every_string_up_to_length_8(self):
+        # 87,381 strings over "/.ab": the names and their order, not only
+        # whether the list is empty.
+        texts = [
+            "".join(chars)
+            for length in range(9)
+            for chars in itertools.product("/.ab", repeat=length)
+        ]
+        assert len(texts) == 87_381
+        wrong = [t for t in texts if _residue(t) != _flaws_by_parts(t)]
+        assert wrong[:5] == []
 
 
 # Every string over "/.a" up to length 4: 121 texts, each named by a
