@@ -27,11 +27,12 @@ import sys
 import time
 from codecs import getincrementaldecoder
 from itertools import count
-from typing import Iterator, List, Optional, TextIO
+from typing import Iterator, List, Optional, TextIO, Tuple
 
 from .baseline import load_corpus, run_differential
 from .canonical import _canonical_texts, load_whitelist, underflows
-from .model import CanonicalPath, PathError, RawPathString, _all_checked, _checked, _new
+from .model import CanonicalPath, PathError, RawPathString, Whitelist
+from .model import _all_checked, _checked, _new
 from .verifier import (
     DEFAULT_ALPHABET,
     EnumerationSpec,
@@ -121,16 +122,16 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _stdin_blocks() -> Iterator[List[str]]:
-    """Stdin's lines, a block for each read that completes one or more: each
-    line ends at "\\n", dropped with any "\\r"s before it, and so may the
-    last. A stdin without a byte layer (a StringIO, say) is read as the text
-    it holds."""
-    if hasattr(sys.stdin, "buffer"):
-        read = sys.stdin.buffer.read1
+def _stdin_blocks(stdin: TextIO) -> Iterator[List[str]]:
+    """``stdin``'s lines, a block for each read that completes one or more:
+    each line ends at "\\n", dropped with any "\\r"s before it, and so may
+    the last. A stdin without a byte layer (a StringIO, say) is read as the
+    text it holds."""
+    if hasattr(stdin, "buffer"):
+        read = stdin.buffer.read1
         decode = getincrementaldecoder(ENCODING)(ERRORS).decode
     else:
-        read, decode = sys.stdin.read, lambda text, final: text
+        read, decode = stdin.read, lambda text, final: text
     # The text since the last "\n", in pieces: joined only by a read that
     # ends a line, so a long line costs time linear in its length.
     carry = []
@@ -171,24 +172,78 @@ def _open_lines(path: str) -> TextIO:
     return open(path, encoding=ENCODING, errors=ERRORS)
 
 
-def _cmd_paths(args: argparse.Namespace) -> int:
-    """Answer ``canon``, or ``check`` against ``--whitelist``, for each
-    block of input lines: with ``--stdin``, the lines each read of stdin
-    completes, answered before the next read, else the one path argument.
-    ``canon`` writes each canonical text on its own line, ``check`` each
-    text after ``ALLOW `` or ``DENY ``.
+def _answers(
+    blocks: Iterator[List[str]], numbered: bool, root: Optional[str],
+    whitelist: Optional[Whitelist], strict: bool,
+) -> Iterator[Tuple[str, str, int]]:
+    """Decide each block of lines as ``canon`` (each line's canonical text)
+    or as ``check`` (that text after ``ALLOW `` or ``DENY `` by
+    ``whitelist``): yield its stdout text, its stderr text and its exit code
+    before the next block is read. Nothing is written here.
 
-    A block's lines are put under ``--root`` if there is one, held to the
-    NUL and length rule in one check over the jailed paths, and the paths
-    kept are canonicalized in one ``map`` of ``_canonical_texts``, the form
-    the verifier's sweeps certify. A block that fails the check, or any
-    block under ``--strict-underflow``, is also walked line by line: each
-    failing line is dropped and named by number, and under the flag each
+    A block's lines are put under ``root`` if there is one, held to the NUL
+    and length rule in one check over the jailed paths, and the paths kept
+    are canonicalized in one ``map`` of ``_canonical_texts``, the form the
+    verifier's sweeps certify. A block that fails the check, or any block
+    under ``strict``, is also walked line by line: each failing line is
+    dropped and named (by number if ``numbered``), and under ``strict`` each
     line with ".." reports, as sent, the parts ignored at the root that
-    :func:`underflows` counts (normpath, not the stack walk), in line order
-    in one stderr write. Exit 2 if a line failed or stdin could not be
-    read, else 1 if a path was denied, else 0.
+    :func:`underflows` counts (normpath, not the stack walk), in line order.
+    The code is 2 if a line failed, else 1 if a path was denied, else 0. A
+    block that cannot be read yields one error line and code 2, and ends
+    the answers.
     """
+    at = "pathguard: line {}: " if numbered else "pathguard: "
+    first = 1
+    while True:
+        try:
+            block = next(blocks, [])
+        except (OSError, ValueError) as exc:  # unreadable stdin; earlier reads answered
+            yield "", f"pathguard: {exc}\n", EXIT_USAGE
+            return
+        if not block:
+            return
+        paths = block if root is None else [root + "/" + line for line in block]
+        checked = _all_checked(paths)
+        kept = paths if checked else []
+        reports = []
+        if not checked or strict:
+            for text, path, number in zip(block, paths, count(first)):
+                if not checked:
+                    try:
+                        _checked(text)
+                        if root is not None:
+                            _checked(path, "jailed path")
+                    except PathError as exc:
+                        reports.append(f"{at.format(number)}{exc}\n")
+                        continue
+                    kept.append(path)
+                if (
+                    strict
+                    and ".." in path
+                    and (ignored := underflows(_new(RawPathString, path)))
+                ):
+                    reports.append(
+                        f"{at.format(number)}{ignored} parent reference(s) ignored"
+                        f" at the root in {text!r}\n"
+                    )
+        code = EXIT_USAGE if len(kept) < len(paths) else EXIT_OK
+        answers = list(_canonical_texts(kept))
+        if whitelist is not None:
+            allowed = list(map(whitelist.__contains__, answers))
+            if not (code or all(allowed)):
+                code = EXIT_DENIED
+            answers = [
+                ("ALLOW " if ok else "DENY ") + t for ok, t in zip(allowed, answers)
+            ]
+        answers.append("")
+        yield "\n".join(answers), "".join(reports), code
+        first += len(block)
+
+
+def _cmd_paths(args: argparse.Namespace) -> int:
+    """Set up ``canon`` or ``check`` from ``args``, then write each block's
+    texts from :func:`_answers`, stderr first, and exit with the worst code."""
     try:
         root = None if args.root is None else CanonicalPath(args.root)
         whitelist = None
@@ -203,56 +258,16 @@ def _cmd_paths(args: argparse.Namespace) -> int:
         return _fail("--stdin and a path argument are mutually exclusive")
     if not args.stdin and args.path is None:
         return _fail("a path argument is required (or use --stdin)")
-    blocks = _stdin_blocks() if args.stdin else iter([[args.path]])
-    failed = denied = False
-    first = 1
-    while True:
-        try:
-            block = next(blocks, [])
-        except (OSError, ValueError) as exc:  # unreadable stdin; earlier reads answered
-            return _fail(str(exc))
-        if not block:
-            break
-        paths = block if root is None else [root + "/" + line for line in block]
-        checked = _all_checked(paths)
-        kept = paths if checked else []
-        if not checked or args.strict_underflow:
-            at = "pathguard: line {}: " if args.stdin else "pathguard: "
-            reports = []
-            for text, path, number in zip(block, paths, count(first)):
-                if not checked:
-                    try:
-                        _checked(text)
-                        if root is not None:
-                            _checked(path, "jailed path")
-                    except PathError as exc:
-                        reports.append(f"{at.format(number)}{exc}\n")
-                        continue
-                    kept.append(path)
-                if (
-                    args.strict_underflow
-                    and ".." in path
-                    and (ignored := underflows(_new(RawPathString, path)))
-                ):
-                    reports.append(
-                        f"{at.format(number)}{ignored} parent reference(s) ignored"
-                        f" at the root in {text!r}\n"
-                    )
-            _write(sys.stderr, "".join(reports))
-            failed = failed or len(kept) < len(paths)
-        answers = list(_canonical_texts(kept))
-        if whitelist is not None:
-            allowed = list(map(whitelist.__contains__, answers))
-            denied = denied or not all(allowed)
-            answers = [
-                ("ALLOW " if ok else "DENY ") + t for ok, t in zip(allowed, answers)
-            ]
-        answers.append("")
-        _write(sys.stdout, "\n".join(answers))
-        first += len(block)
-    if failed:
-        return EXIT_USAGE
-    return EXIT_DENIED if denied else EXIT_OK
+    blocks = _stdin_blocks(sys.stdin) if args.stdin else iter([[args.path]])
+    worst = EXIT_OK
+    answers = _answers(blocks, args.stdin, root, whitelist, args.strict_underflow)
+    for out, err, code in answers:
+        if err:
+            _write(sys.stderr, err)
+        _write(sys.stdout, out)
+        if code > worst:  # the max: 2 outranks 1 outranks 0
+            worst = code
+    return worst
 
 
 def _hex(text: object) -> Optional[str]:

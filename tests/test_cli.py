@@ -7,7 +7,6 @@ import select
 import subprocess
 import sys
 import time
-import types
 
 import pytest
 
@@ -16,6 +15,7 @@ from pathguard import CanonicalPath, canonical, canonicalize, underflows, valida
 from pathguard import cli
 from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_texts
+from pathguard.model import _all_checked
 from pathguard.cli import main
 
 
@@ -315,20 +315,15 @@ def batch_lines(n):
 class TestStdinStream:
     def test_bad_line_keeps_the_batch(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("/ok\n/a/b\n" + "x" * 5000 + "\n"))
-        code, out, err = run(capsys, "canon", "--stdin")
-        assert code == 2
-        assert out == "/ok\n/a/b\n"
-        assert "line 3" in err and "exceeds" in err
+        error = "pathguard: line 3: path length 5000 exceeds limit 4096\n"
+        assert run(capsys, "canon", "--stdin") == (2, "/ok\n/a/b\n", error)
 
     def test_every_bad_line_is_reported(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("/a\x00b\n/ok\n" + "x" * 5000 + "\n"))
-        code, out, err = run(capsys, "canon", "--stdin")
-        assert code == 2
-        assert out == "/ok\n"
-        lines = err.splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("pathguard: line 1: ") and "NUL" in lines[0]
-        assert lines[1].startswith("pathguard: line 3: ")
+        assert run(capsys, "canon", "--stdin") == (
+            2, "/ok\n", "pathguard: line 1: path contains a NUL byte\n"
+            "pathguard: line 3: path length 5000 exceeds limit 4096\n",
+        )
 
     def test_error_outranks_denial(self, capsys, monkeypatch, whitelist_file):
         text = "/a/b/c\n" + "x" * 5000 + "\n/nope\n"
@@ -404,6 +399,32 @@ class TestStdinStream:
         assert seen == [data[:i].count(b"\n") for i in at]
         assert out.getvalue().count("\n") == len(lines)
 
+    def test_the_core_writes_nothing(self, monkeypatch):
+        # cli._answers decides and _cmd_paths writes. With sys streams that
+        # fail any read, write or flush (an object() has none of them), the
+        # core still gives each block's texts and code, numbers lines across
+        # blocks, and ends at a failed read.
+        def blocks():
+            yield ["/a/b/c", "/a\x00b", "x" * 4097, "../../a/b/c"]
+            yield ["/etc/passwd"]
+            raise OSError("stdin went away")
+
+        for stream in ("stdin", "stdout", "stderr"):
+            monkeypatch.setattr(sys, stream, object())
+        whitelist = pathguard.Whitelist(["/a/b/c"])
+        assert list(cli._answers(blocks(), True, None, whitelist, True)) == [
+            (
+                "ALLOW /a/b/c\nALLOW /a/b/c\n",
+                "pathguard: line 2: path contains a NUL byte\n"
+                "pathguard: line 3: path length 4097 exceeds limit 4096\n"
+                "pathguard: line 4: 2 parent reference(s) ignored at the root in"
+                " '../../a/b/c'\n",
+                2,
+            ),
+            ("DENY /etc/passwd\n", "", 1),
+            ("", "pathguard: stdin went away\n", 2),
+        ]
+
     @pytest.mark.parametrize(
         "command, answers, want_code",
         [
@@ -475,23 +496,12 @@ class TestStdinStream:
         assert got in (None, b"")
 
     @pytest.mark.parametrize("command", ["canon", "check"])
-    def test_blocks_join_to_the_whole_batch_output(
-        self, capsys, monkeypatch, whitelist_file, command
-    ):
+    def test_blocks_join_to_the_whole_batch_output(self, edge_answer, command):
         # 2,500 lines in three reads, so three blocks; the bytes must equal
         # those of deciding the whole batch and writing it at once.
-        lines = batch_lines(2_500)
-        canonical = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
-        if command == "canon":
-            want, want_code, extra = [c + "\n" for c in canonical], 0, []
-        else:
-            want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c + "\n" for c in canonical]
-            want_code, extra = 1, ["--whitelist", whitelist_file]
-        text = "".join(t + "\n" for t in lines)
-        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
-        code, out, err = run(capsys, command, "--stdin", *extra)
-        assert (code, err) == (want_code, "")
-        assert out == "".join(want)
+        text = "".join(t + "\n" for t in batch_lines(2_500))
+        got, want = edge_answer(command, text, None, False)
+        assert got == want and got[0] == (command == "check")
 
     # An undecodable stdin raises ValueError, a failed read (ECONNRESET on
     # a socket, say) an OSError.
@@ -508,15 +518,13 @@ class TestStdinStream:
             raise error("stdin went away")
 
         stdin = ByteStdin([(line + "\n").encode() for line in lines], went_away)
-        want = [canonicalize(validate_raw(t.rstrip("\r"))).text for t in lines]
-        extra = []
+        allowed, extra = None, []
         if command == "check":
-            want = [("ALLOW " if c == "/a/b/c" else "DENY ") + c for c in want]
-            extra = ["--whitelist", whitelist_file]
+            allowed, extra = ("/a/b/c",), ["--whitelist", whitelist_file]
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, command, "--stdin", *extra)
         assert (code, err) == (2, "pathguard: stdin went away\n")
-        assert out == "".join(c + "\n" for c in want)
+        assert out == stdin_reference("\n".join(lines).encode(), allowed)[1]
 
 
 class TestClosedStreams:
@@ -662,6 +670,26 @@ def edge_reads(text):
     return [data[: ends[1_023]], data[ends[1_023] : middle], data[middle:]]
 
 
+@pytest.fixture
+def edge_answer(capsys, monkeypatch, whitelist_file):
+    """``edge_answer(command, text, root, strict)``: two (code, stdout,
+    stderr), of ``command --stdin`` on ``text`` in edge_reads' three reads
+    and of ``stdin_reference``, ``check`` allowing ``whitelist_file``'s."""
+
+    def answer(command, text, root, strict):
+        argv = [command, "--stdin"] + ["--strict-underflow"] * strict
+        allowed = None
+        if command == "check":
+            argv, allowed = argv + ["--whitelist", whitelist_file], ("/a/b/c",)
+        if root is not None:
+            argv += ["--root", root]
+        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
+        got = run(capsys, *argv)
+        return got, stdin_reference(text.encode(), allowed, strict, root)
+
+    return answer
+
+
 def edge_batch(fault):
     """2,500 lines of ``batch_lines``, ending in "\\n", "\\r\\n" or
     "\\r\\r\\n" in turn, the last with no ending at all. ``fault`` is at
@@ -677,35 +705,56 @@ def edge_batch(fault):
     return "".join(t + endings[i % 3] for i, t in enumerate(lines[:-1])) + lines[-1]
 
 
-def line_by_line(command, text, root, strict=False, allowed=("/a/b/c",)):
-    """The exit code, stdout and stderr of answering each line of ``text``
-    on its own with ``canonicalize(validate_raw(...))``, ``check`` allowing
-    the paths in ``allowed``. With ``strict``, stderr also counts each kept
-    line's ignored ".." (``underflows``), in line order beside the error
-    lines."""
-    out, err, failed = [], [], False
-    for number, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        what = ""
-        try:
-            raw = validate_raw(line)
-            if root is not None:
-                what = "jailed "
-                raw = validate_raw(root + "/" + line)
-        except pathguard.PathError as exc:
-            err.append(f"pathguard: line {number}: {what}{exc}\n")
+def line_error(line, root=None):
+    """The error that the NUL and length rule gives ``line``, checked on its
+    own and then, under ``root``, as the jailed path ``root + "/" + line``,
+    or None."""
+    jailed = [] if root is None else [("jailed path", root + "/" + line)]
+    for what, path in [("path", line), *jailed]:
+        if "\x00" in path:
+            return f"{what} contains a NUL byte"
+        if len(path) > 4096:
+            return f"{what} length {len(path)} exceeds limit 4096"
+    return None
+
+
+def stdin_reference(data, allowed=None, strict=False, root=None):
+    """The exit code, stdout and stderr of ``--stdin`` on ``data``, from the
+    line rules alone: split on "\n", drop one final empty piece, strip
+    trailing "\r"s, decode with surrogateescape; a line that breaks the NUL
+    and length rule (``line_error``) is an error on its line. Every other
+    line, put under ``root`` if there is one, is walked on a stack of its
+    own, which gives its canonical text and the ".." it ignores at the root,
+    reported under ``strict``. With ``allowed``, the answer is ``check``'s."""
+    pieces = data.split(b"\n")
+    if pieces[-1] == b"":
+        pieces.pop()
+    out, err, failed, denied = [], [], False, False
+    for number, piece in enumerate(pieces, start=1):
+        line = piece.rstrip(b"\r").decode("utf-8", "surrogateescape")
+        if error := line_error(line, root):
+            err.append(f"pathguard: line {number}: {error}\n")
             failed = True
             continue
-        if strict and (ignored := underflows(raw)):
+        stack, ignored = [], 0
+        for part in (line if root is None else root + "/" + line).split("/"):
+            if part == "..":
+                if stack:
+                    stack.pop()
+                else:
+                    ignored += 1
+            elif part not in ("", "."):
+                stack.append(part)
+        text = "/" + "/".join(stack)
+        if strict and ignored:
             err.append(
                 f"pathguard: line {number}: {ignored} parent reference(s) ignored"
                 f" at the root in {line!r}\n"
             )
-        canonical = canonicalize(raw).text
-        if command == "check":
-            canonical = ("ALLOW " if canonical in allowed else "DENY ") + canonical
-        out.append(canonical + "\n")
-    denied = command == "check" and any(o.startswith("DENY") for o in out)
+        if allowed is not None:
+            denied = denied or text not in allowed
+            text = ("ALLOW " if text in allowed else "DENY ") + text
+        out.append(text + "\n")
     return 2 if failed else int(denied), "".join(out), "".join(err)
 
 
@@ -732,48 +781,30 @@ class TestBlockEdges:
     @ROOTS_STRICT
     @pytest.mark.parametrize("fault", ["/a\x00b", "z" * 4097], ids=["nul", "long"])
     @pytest.mark.parametrize("command", ["canon", "check"])
-    def test_faults_at_block_edges(
-        self, capsys, monkeypatch, whitelist_file, command, fault, root, strict
-    ):
+    def test_faults_at_block_edges(self, edge_answer, command, fault, root, strict):
         text = edge_batch(fault)
         assert text.count("\n") == 2_499 and not text.endswith("\n")
-        extra = ["--whitelist", whitelist_file] if command == "check" else []
-        if root is not None:
-            extra += ["--root", root]
-        if strict:
-            extra.append("--strict-underflow")
-        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
-        code, out, err = run(capsys, command, "--stdin", *extra)
-        want_code, want_out, want_err = line_by_line(command, text, root, strict)
-        assert err == want_err
-        assert out == want_out
-        assert code == want_code == 2
+        got, want = edge_answer(command, text, root, strict)
+        assert got == want
+        code, _, err = got
+        assert code == 2
         # The limit itself is accepted; under the root the same line fails.
         failing = {int(e.split()[2][:-1]) for e in line_errors(err)}
         assert failing == set(BLOCK_EDGES) | ({700} if root else set())
-        # Only the flag adds reports; err == want_err holds them in line order.
+        # Only the flag adds reports; got == want holds them in line order.
         assert (len(line_errors(err)) < len(err.splitlines())) == strict
 
     @ROOTS_STRICT
     @pytest.mark.parametrize("command", ["canon", "check"])
-    def test_jailed_overflow_alone_in_its_block(
-        self, capsys, monkeypatch, whitelist_file, command, root, strict
-    ):
+    def test_jailed_overflow_alone_in_its_block(self, edge_answer, command, root, strict):
         # No fault at the edges: without a root every block passes the bulk
         # check; under "/srv", line 700 alone overflows once jailed.
-        text = edge_batch("../a/./b/")
-        extra = ["--whitelist", whitelist_file] if command == "check" else []
-        if root is not None:
-            extra += ["--root", root]
-        if strict:
-            extra.append("--strict-underflow")
-        monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
-        code, out, err = run(capsys, command, "--stdin", *extra)
-        assert (code, out, err) == line_by_line(command, text, root, strict)
+        got, want = edge_answer(command, edge_batch("../a/./b/"), root, strict)
+        assert got == want
         jailed = "pathguard: line 700: jailed path length 4101 exceeds limit 4096\n"
-        assert line_errors(err) == ([] if root is None else [jailed])
+        assert line_errors(got[2]) == ([] if root is None else [jailed])
 
-    def test_strict_underflow_runs_no_walk(self, capsys, monkeypatch, whitelist_file):
+    def test_strict_underflow_runs_no_walk(self, edge_answer, monkeypatch):
         # The ignored ".." are counted by normpath, as the texts are: the
         # stack walk is the tests' reference and runs only in
         # canonicalize_traced.
@@ -790,15 +821,9 @@ class TestBlockEdges:
         text = edge_batch("/a\x00b")
         for command in ["canon", "check"]:
             for root in [None, "/srv"]:
-                extra = ["--whitelist", whitelist_file] if command == "check" else []
-                if root is not None:
-                    extra += ["--root", root]
-                monkeypatch.setattr("sys.stdin", ByteStdin(edge_reads(text)))
-                code, out, err = run(
-                    capsys, command, "--stdin", "--strict-underflow", *extra
-                )
-                assert (code, out, err) == line_by_line(command, text, root, True)
-                assert len(line_errors(err)) < len(err.splitlines())
+                got, want = edge_answer(command, text, root, True)
+                assert got == want
+                assert len(line_errors(got[2])) < len(got[2].splitlines())
 
 
 class TestReader:
@@ -834,8 +859,8 @@ class TestReader:
         extra = ["--whitelist", str(wl)] if command == "check" else []
         monkeypatch.setattr("sys.stdin", ByteStdin(self.reads(cuts)))
         code, out = run_bytes(monkeypatch, command, "--stdin", *extra)
-        text = self.DATA.decode("utf-8", "surrogateescape")
-        want_code, want_out, _ = line_by_line(command, text, None, allowed=self.ALLOWED)
+        allowed = self.ALLOWED if command == "check" else None
+        want_code, want_out, _ = stdin_reference(self.DATA, allowed)
         assert (code, out) == (want_code, want_out.encode("utf-8", "surrogateescape"))
         if command == "check":
             assert out.count(b"ALLOW /caf\xc3\xa9\n") == 2
@@ -895,51 +920,12 @@ def stdin_runs(max_len):
             yield data, [[data][:n], *([data[:i], data[i:]] for i in range(1, n))]
 
 
-def stdin_reference(data, allowed=None, strict=False):
-    """The exit code, stdout and stderr of ``--stdin`` on ``data``, from the
-    line rules alone: split on "\n", drop one final empty piece, strip
-    trailing "\r"s, decode with surrogateescape; a NUL is an error on its
-    line. Every other line is walked on a stack of its own, which gives its
-    canonical text and the ".." it ignores at the root, reported under
-    ``strict``. With ``allowed``, the answer is ``check``'s."""
-    pieces = data.split(b"\n")
-    if pieces[-1] == b"":
-        pieces.pop()
-    out, err, failed, denied = [], [], False, False
-    for number, piece in enumerate(pieces, start=1):
-        line = piece.rstrip(b"\r").decode("utf-8", "surrogateescape")
-        if "\x00" in line:
-            err.append(f"pathguard: line {number}: path contains a NUL byte\n")
-            failed = True
-            continue
-        stack, ignored = [], 0
-        for part in line.split("/"):
-            if part == "..":
-                if stack:
-                    stack.pop()
-                else:
-                    ignored += 1
-            elif part not in ("", "."):
-                stack.append(part)
-        text = "/" + "/".join(stack)
-        if strict and ignored:
-            err.append(
-                f"pathguard: line {number}: {ignored} parent reference(s) ignored"
-                f" at the root in {line!r}\n"
-            )
-        if allowed is not None:
-            denied = denied or text not in allowed
-            text = ("ALLOW " if text in allowed else "DENY ") + text
-        out.append(text + "\n")
-    return 2 if failed else int(denied), "".join(out), "".join(err)
-
-
 class TestStdinSweep:
     """Every input of a few bytes, cut into reads every way, gets from
-    ``--stdin`` the exit code, stdout and stderr that the line rules give
-    (``stdin_reference``, which shares no code with pathguard.canonical).
-    The command function runs in-process on a parsed Namespace: through
-    argparse, each of the 72,228 runs would pay for a parse."""
+    ``--stdin``'s reader and ``cli._answers`` the exit code, stdout and
+    stderr that the line rules give (``stdin_reference``, which shares no
+    code with pathguard.canonical). The core takes the whitelist from
+    memory, so no run pays for argparse, a whitelist file or a stream."""
 
     MODES = pytest.mark.parametrize(
         "command, strict",
@@ -948,47 +934,49 @@ class TestStdinSweep:
     )
 
     @staticmethod
-    def sweep(monkeypatch, command, strict, max_len):
-        """The number of runs, and up to five that differ from the
-        reference, as (reads, got, want). ``check`` reads its whitelist
-        from memory: from a file, each run would pay for opening it."""
-        argv = [command, "--stdin"] + ["--strict-underflow"] * strict
-        allowed = None
-        if command == "check":
-            allowed = SWEEP_ALLOWED
-            text = "".join(t + "\n" for t in allowed)
-            monkeypatch.setattr(cli, "_open_lines", lambda path: io.StringIO(text))
-            argv += ["--whitelist", "allowed.txt"]
-        args = cli._build_parser().parse_args(argv)
-        out, err = [], []
-        monkeypatch.setattr("sys.stdout", types.SimpleNamespace(write=out.append))
-        monkeypatch.setattr("sys.stderr", types.SimpleNamespace(write=err.append))
-        # Set once through monkeypatch, whose teardown puts the real stdin
-        # back after the runs below replace it.
-        monkeypatch.setattr("sys.stdin", None)
+    def sweep(command, strict, inputs):
+        """The number of runs of ``inputs``, (string, runs) pairs as from
+        ``stdin_runs``, and up to five that go wrong, as (reads, got, want,
+        walked). ``got`` folds the answers as ``_cmd_paths`` writes them.
+        ``walked`` lists the blocks with no failing line that fail the bulk
+        check: they would take the line walk, which answers the same at a
+        Python call per line."""
+        whitelist = pathguard.Whitelist(SWEEP_ALLOWED) if command == "check" else None
         runs, wrong = 0, []
-        for data, cuts in stdin_runs(max_len):
-            want = stdin_reference(data, allowed, strict)
+        for data, cuts in inputs:
+            want = stdin_reference(data, whitelist, strict)
             for reads in cuts:
-                sys.stdin = ByteStdin(reads)
-                got = (cli._cmd_paths(args), "".join(out), "".join(err))
-                out.clear()
-                err.clear()
+                blocks = list(cli._stdin_blocks(ByteStdin(reads)))
+                answers = cli._answers(iter(blocks), True, None, whitelist, strict)
+                outs, errs, codes = zip(("", "", 0), *answers)
+                got = (max(codes), "".join(outs), "".join(errs))
+                walked = [b for b in blocks if not _all_checked(b)]
+                walked = [b for b in walked if not any(map(line_error, b))]
                 runs += 1
-                if got != want and len(wrong) < 5:
-                    wrong.append((reads, got, want))
+                if (got != want or walked) and len(wrong) < 5:
+                    wrong.append((reads, got, want, walked))
         return runs, wrong
 
     @MODES
-    def test_every_input_up_to_length_4(self, monkeypatch, command, strict):
-        runs, wrong = self.sweep(monkeypatch, command, strict, 4)
-        assert (runs, wrong) == (18_057, [])
+    def test_every_input_up_to_length_4(self, command, strict):
+        assert self.sweep(command, strict, stdin_runs(4)) == (18_057, [])
 
     @pytest.mark.overnight
     @MODES
-    def test_every_input_up_to_length_5(self, monkeypatch, command, strict):
-        runs, wrong = self.sweep(monkeypatch, command, strict, 5)
-        assert (runs, wrong) == (181_897, [])
+    def test_every_input_up_to_length_5(self, command, strict):
+        assert self.sweep(command, strict, stdin_runs(5)) == (181_897, [])
+
+    @MODES
+    def test_every_input_up_to_length_2_after_a_long_line(self, command, strict):
+        # The length rule at its edge: each string after a line of 4,096
+        # "a"s, the longest that passes, and after one of 4,097, as one read
+        # and cut at the long line's end; 145 runs after each.
+        inputs = [
+            (head + data, [[head + data], [head, data]][: 1 + bool(data)])
+            for head in (b"a" * 4096 + b"\n", b"a" * 4097 + b"\n")
+            for data, _ in stdin_runs(2)
+        ]
+        assert self.sweep(command, strict, inputs) == (290, [])
 
     def test_the_reference(self):
         # The rules the sweep holds --stdin to, on inputs whose answers are
@@ -1007,6 +995,16 @@ class TestStdinSweep:
         )
         assert stdin_reference(b"") == (0, "", "")
         assert stdin_reference(b"\n") == stdin_reference(b"\r") == (0, "/\n", "")
+        # The length rule at its edge, alone and then jailed under a root,
+        # whose parts the ".." of a jailed line can climb.
+        a = "a" * 4091
+        data = f"{a}\n{a}a\n{a}aaaaaa\n../../x".encode()
+        assert stdin_reference(data, root="/srv", strict=True) == (
+            2, f"/srv/{a}\n/x\n",
+            "pathguard: line 2: jailed path length 4097 exceeds limit 4096\n"
+            "pathguard: line 3: path length 4097 exceeds limit 4096\n"
+            "pathguard: line 4: 1 parent reference(s) ignored at the root in '../../x'\n",
+        )
 
 
 class TestByteExact:
