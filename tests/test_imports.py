@@ -68,7 +68,9 @@ def test_every_public_name_has_a_consumer():
 
     A tripwire, not a proof: it looks for the name as a whole word on any
     line but the one that defines it, so a docstring mention still counts
-    as a use.
+    as a use. A pattern that matches no file fails first, by name: in a
+    copy of the tree without ``bench/``, a name that only the benchmark
+    uses would otherwise look unused.
     """
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     patterns = [
@@ -77,9 +79,11 @@ def test_every_public_name_has_a_consumer():
         "tests/test_acceptance.py",
         "tests/invariant_checks.py",
     ]
+    found = {p: glob.glob(os.path.join(repo, p)) for p in patterns}
+    assert [p for p in patterns if not found[p]] == []
     lines = []
     for pattern in patterns:
-        for path in glob.glob(os.path.join(repo, pattern)):
+        for path in found[pattern]:
             if os.path.basename(path) != "__init__.py":
                 with open(path, encoding="utf-8") as fh:
                     lines += fh.read().splitlines()

@@ -19,6 +19,7 @@ from pathguard import (
     Whitelist,
     canonicalize,
     is_canonical_text,
+    load_corpus,
     load_whitelist,
     sanitize,
     total_count,
@@ -227,68 +228,6 @@ class TestAllCanonical:
 
 
 class TestWhitelist:
-    def test_single_entry(self):
-        w = load_whitelist("/a/b/c\n")
-        assert w.entries == frozenset({CanonicalPath("/a/b/c")})
-
-    def test_comments_and_blanks_skipped(self):
-        w = load_whitelist("# comment\n\n/a\n")
-        assert w.entries == frozenset({CanonicalPath("/a")})
-
-    def test_crlf_and_whitespace(self):
-        w = load_whitelist("  /a \r\n\t/b\r\n")
-        assert w.entries == frozenset({CanonicalPath("/a"), CanonicalPath("/b")})
-
-    def test_duplicates_collapse(self):
-        w = load_whitelist("/a\n/a\n")
-        assert len(w.entries) == 1
-
-    def test_non_canonical_entry_rejected_with_line_number(self):
-        with pytest.raises(NonCanonicalEntry) as err:
-            load_whitelist("a/b/\n")
-        assert err.value.line_number == 1
-
-    def test_non_canonical_line_number_counts_comments(self):
-        with pytest.raises(NonCanonicalEntry) as err:
-            load_whitelist("# header\n/a\n/b//c\n")
-        assert err.value.line_number == 3
-
-    def test_canonicalize_entries_opt_in(self):
-        w = load_whitelist("a/b/\n", canonicalize_entries=True)
-        assert w.entries == frozenset({CanonicalPath("/a/b")})
-
-    def test_nul_propagated_per_line(self):
-        with pytest.raises(EmbeddedNul) as err:
-            load_whitelist("# header\n/a\n/a\x00b\n")
-        assert str(err.value) == "whitelist line 3: path contains a NUL byte"
-
-    def test_too_long_line_names_its_line(self):
-        with pytest.raises(PathTooLong) as err:
-            load_whitelist("/a\n/" + "a" * 4096 + "\n")
-        assert str(err.value) == (
-            "whitelist line 2: path length 4097 exceeds limit 4096"
-        )
-
-    @pytest.mark.parametrize("inner", ["\r", "\x0c", "\x85", "\u2028"])
-    def test_lines_end_at_newline_only(self, inner):
-        # str.splitlines would cut "/a" + inner + "b" in two, and "b" is not
-        # canonical; --stdin reads the same text as one path.
-        w = load_whitelist("/a" + inner + "b\n/c\r\n")
-        assert w.entries == frozenset({"/a" + inner + "b", "/c"})
-
-    def test_file_in_default_text_mode_ends_lines_at_newline_only(self, tmp_path):
-        # Universal newlines would read "/a\rb" as "/a" and "b".
-        path = tmp_path / "whitelist.txt"
-        path.write_bytes(b"/a\rb\n/c\r\n")
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            w = load_whitelist(fh)
-        assert w.entries == frozenset({"/a\rb", "/c"})
-
-    def test_entries_are_fixpoints(self):
-        w = load_whitelist("/a/b/c\n/x\n/\n")
-        for entry in w.entries:
-            assert canonicalize(validate_raw(entry)) == entry
-
     @pytest.mark.parametrize(
         "source,canonicalize_entries",
         [("/a/b\n/c\n/\n", False), ("a/b/\n/x/../c/.\n//\n", True)],
@@ -303,8 +242,9 @@ class TestWhitelist:
             assert not gc.is_tracked(entry)
 
 
-# Line shapes for the loader's texts: each check passing and failing, and
-# every stripping and skipping rule.
+# Line shapes for the loader's texts: each check passing and failing, every
+# stripping and skipping rule, and characters that str.splitlines would end
+# a line at and str.strip() would strip, which belong to the path.
 LINE_SHAPES = [
     "",
     "/",
@@ -318,51 +258,69 @@ LINE_SHAPES = [
     " /a ",
     "/a\r",
     "/a\rb",
+    "\t/a\t",
+    "/a\x0c\x85\u2028",
     "/a\x00b",
     "/" + "a" * MAX_PATH_LEN,
 ]
 
 
-def _per_line_load(text, canonicalize_entries):
+def _per_line_load(text, kind, canonicalize_entries=False):
     """The loader as a walk over the lines: each line checked on its own,
-    in file order, and a non-canonical line told by canonicalizing it."""
-    entries = set()
+    in file order. A whitelist is the set of its lines, each told canonical
+    by canonicalizing it; a corpus is the list of its lines, in order and
+    duplicates kept, with no canonical check. ``kind`` is "whitelist" or
+    "corpus", as the errors name it."""
+    paths = []
     for number, line in enumerate(text.split("\n"), start=1):
         path = line.strip(" \t\r\n")
         if not path or path.startswith("#"):
             continue
         if "\x00" in path:
-            raise EmbeddedNul(f"whitelist line {number}: path contains a NUL byte")
+            raise EmbeddedNul(f"{kind} line {number}: path contains a NUL byte")
         if len(path) > MAX_PATH_LEN:
             raise PathTooLong(
-                f"whitelist line {number}: path length {len(path)}"
+                f"{kind} line {number}: path length {len(path)}"
                 f" exceeds limit {MAX_PATH_LEN}"
             )
-        canonical = canonicalize(validate_raw(path))
-        if not canonicalize_entries and canonical != path:
-            raise NonCanonicalEntry(number, path)
-        entries.add(canonical)
-    return entries
+        if kind == "whitelist":
+            canonical = canonicalize(validate_raw(path))
+            if not canonicalize_entries and canonical != path:
+                raise NonCanonicalEntry(number, path)
+            path = canonical
+        paths.append(path)
+    return set(paths) if kind == "whitelist" else paths
 
 
 def _outcome(load):
-    """The entries ``load()`` returns, or its error's type, message and
-    line number."""
+    """What ``load()`` returns, or its error's type, message and line
+    number."""
     try:
-        return set(load())
+        return load()
     except PathError as exc:
         return type(exc), str(exc), getattr(exc, "line_number", None)
 
 
 class TestLoaderMatchesPerLineLoad:
-    @pytest.mark.parametrize("canonicalize_entries", [False, True])
-    def test_every_text_of_up_to_three_lines(self, canonicalize_entries):
-        # 2,954 texts; when two lines fail, the first in file order wins,
-        # whichever check each fails.
+    @pytest.mark.parametrize(
+        "kind, canonicalize_entries",
+        [("whitelist", False), ("whitelist", True), ("corpus", False)],
+        ids=["whitelist", "whitelist-canonicalize-entries", "corpus"],
+    )
+    def test_every_text_of_up_to_three_lines(self, kind, canonicalize_entries):
+        # Every text of one to three LINE_SHAPES, as a string, as a list of
+        # lines and as a text file in the default mode; when two lines
+        # fail, the first in file order wins, whichever check each fails.
+        def load(source):
+            if kind == "corpus":
+                return load_corpus(source)
+            return load_whitelist(source, canonicalize_entries=canonicalize_entries)
+
+        texts = 0
         for count in range(1, 4):
             for shapes in itertools.product(LINE_SHAPES, repeat=count):
                 text = "\n".join(shapes)
-                want = _outcome(lambda: _per_line_load(text, canonicalize_entries))
+                want = _outcome(lambda: _per_line_load(text, kind, canonicalize_entries))
                 lines = [shape + "\n" for shape in shapes]
                 data = text.encode("utf-8", "surrogateescape")
                 sources = [
@@ -371,12 +329,10 @@ class TestLoaderMatchesPerLineLoad:
                     io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
                 ]
                 for source in sources:
-                    got = _outcome(
-                        lambda: load_whitelist(
-                            source, canonicalize_entries=canonicalize_entries
-                        ).entries
-                    )
+                    got = _outcome(lambda: load(source))
                     assert got == want, (shapes, type(source).__name__)
+                texts += 1
+        assert texts == 4_368
 
     def test_file_already_read_from_is_refused(self):
         fh = io.TextIOWrapper(io.BytesIO(b"/a\n/b\n"), encoding="utf-8")
