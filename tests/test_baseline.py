@@ -4,9 +4,12 @@ from urllib.parse import unquote
 import pytest
 
 from pathguard import (
+    EmbeddedNul,
+    PathTooLong,
     canonicalize,
     de_dotdot,
     is_canonical_text,
+    load_corpus,
     run_differential,
     validate_raw,
 )
@@ -83,6 +86,42 @@ class TestRunDifferential:
         corpus = [validate_raw(t) for t in GOLDEN]
         for record in run_differential(corpus):
             assert is_canonical_text(record.canonical_output)
+
+
+class TestLoadCorpus:
+    def test_comments_blanks_and_order(self):
+        corpus = load_corpus("# flaws\n/etc../\n\n./a\n")
+        assert [r.text for r in corpus] == ["/etc../", "./a"]
+
+    @pytest.mark.parametrize("inner", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, inner):
+        corpus = load_corpus("/a" + inner + "b\n./c\r\n")
+        assert [r.text for r in corpus] == ["/a" + inner + "b", "./c"]
+
+    def test_file_in_default_text_mode_ends_lines_at_newline_only(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"/a\rb\n./c\r\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            corpus = load_corpus(fh)
+        assert [r.text for r in corpus] == ["/a\rb", "./c"]
+
+    @pytest.mark.parametrize(
+        "line,error,reason",
+        [
+            ("/a\x00b", EmbeddedNul, "path contains a NUL byte"),
+            ("a" * 4097, PathTooLong, "path length 4097 exceeds limit 4096"),
+        ],
+        ids=["nul", "too-long"],
+    )
+    def test_invalid_line_names_its_line(self, line, error, reason):
+        with pytest.raises(error) as err:
+            load_corpus("/a\n\n" + line + "\n")
+        assert str(err.value) == "corpus line 3: " + reason
+
+    def test_canonicalize_never_emits_residue_on_corpus(self):
+        corpus = load_corpus("/etc../\n/etc/passwd\n//a//b\n../x\n")
+        for raw in corpus:
+            assert is_canonical_text(canonicalize(raw))
 
 
 class TestDecodeOrder:

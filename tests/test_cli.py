@@ -100,6 +100,14 @@ def _bytes_of(doc, field):
 
 
 class TestCanon:
+    def test_repeated_separators(self, capsys):
+        code, out, _ = run(capsys, "canon", "//a//b/c")
+        assert (code, out) == (0, "/a/b/c\n")
+
+    def test_empty_path_is_root(self, capsys):
+        code, out, _ = run(capsys, "canon", "")
+        assert (code, out) == (0, "/\n")
+
     def test_root_flag_jails_then_canonicalizes(self, capsys):
         code, out, _ = run(capsys, "canon", "--root", "/srv/www", "../x")
         assert (code, out) == (0, "/srv/x\n")
@@ -135,10 +143,35 @@ class TestCanon:
             "pathguard: 2 parent reference(s) ignored at the root in '../../../etc'\n"
         )
 
+    def test_strict_underflow_names_the_stdin_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"/ok\n../x\n/etc../\n/a/../../b\n"]))
+        code, out, err = run(capsys, "canon", "--stdin", "--strict-underflow")
+        assert (code, out) == (0, "/ok\n/x\n/etc..\n/b\n")
+        assert err.splitlines() == [
+            "pathguard: line 2: 1 parent reference(s) ignored at the root in '../x'",
+            "pathguard: line 4: 1 parent reference(s) ignored at the root in '/a/../../b'",
+        ]
+
+    def test_nul_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "canon", "/a\x00b")
+        assert code == 2
+        assert out == ""
+        assert "NUL" in err
+
+    def test_too_long_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "canon", "a" * 4097)
+        assert code == 2
+        assert "exceeds" in err
+
     def test_non_canonical_root_is_usage_error(self, capsys):
         code, _, err = run(capsys, "canon", "--root", "srv/", "a")
         assert code == 2
         assert "canonical" in err
+
+    def test_stdin_batch_mode(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"//a\n./b\r\n"]))
+        code, out, _ = run(capsys, "canon", "--stdin")
+        assert (code, out) == (0, "/a\n/b\n")
 
     def test_missing_path_without_stdin(self, capsys):
         code, _, err = run(capsys, "canon")
@@ -160,6 +193,16 @@ def whitelist_file(tmp_path):
 
 
 class TestCheck:
+    def test_allow(self, capsys, whitelist_file):
+        code, out, _ = run(capsys, "check", "--whitelist", whitelist_file, "./a/b/c")
+        assert (code, out) == (0, "ALLOW /a/b/c\n")
+
+    def test_deny(self, capsys, whitelist_file):
+        code, out, _ = run(
+            capsys, "check", "--whitelist", whitelist_file, "/etc/passwd"
+        )
+        assert (code, out) == (1, "DENY /etc/passwd\n")
+
     def test_empty_whitelist_default_deny(self, capsys, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -241,6 +284,12 @@ class TestCheck:
         )
         assert (code, out) == (1, "DENY /etc/passwd\n")
 
+    def test_stdin_batch_exit_code(self, capsys, monkeypatch, whitelist_file):
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"/a/b/c\n/nope\n"]))
+        code, out, _ = run(capsys, "check", "--whitelist", whitelist_file, "--stdin")
+        assert code == 1
+        assert out == "ALLOW /a/b/c\nDENY /nope\n"
+
 
 def batch_lines(n):
     """``n`` input lines of every kind: allowed, denied, climbing, CRLF."""
@@ -250,6 +299,27 @@ def batch_lines(n):
 
 
 class TestStdinStream:
+    def test_bad_line_keeps_the_batch(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", ByteStdin([b"/ok\n/a/b\n" + b"x" * 5000 + b"\n"]))
+        error = "pathguard: line 3: path length 5000 exceeds limit 4096\n"
+        assert run(capsys, "canon", "--stdin") == (2, "/ok\n/a/b\n", error)
+
+    def test_every_bad_line_is_reported(self, capsys, monkeypatch):
+        data = b"/a\x00b\n/ok\n" + b"x" * 5000 + b"\n"
+        monkeypatch.setattr("sys.stdin", ByteStdin([data]))
+        assert run(capsys, "canon", "--stdin") == (
+            2, "/ok\n", "pathguard: line 1: path contains a NUL byte\n"
+            "pathguard: line 3: path length 5000 exceeds limit 4096\n",
+        )
+
+    def test_error_outranks_denial(self, capsys, monkeypatch, whitelist_file):
+        data = b"/a/b/c\n" + b"x" * 5000 + b"\n/nope\n"
+        monkeypatch.setattr("sys.stdin", ByteStdin([data]))
+        code, out, err = run(capsys, "check", "--whitelist", whitelist_file, "--stdin")
+        assert code == 2
+        assert out == "ALLOW /a/b/c\nDENY /nope\n"
+        assert "line 2" in err
+
     def test_jailed_overflow_is_a_line_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", ByteStdin([b"a\n" + b"b" * 4095 + b"\nc\n"]))
         code, out, err = run(capsys, "canon", "--root", "/srv", "--stdin")

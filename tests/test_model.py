@@ -228,6 +228,68 @@ class TestAllCanonical:
 
 
 class TestWhitelist:
+    def test_single_entry(self):
+        w = load_whitelist("/a/b/c\n")
+        assert w.entries == frozenset({CanonicalPath("/a/b/c")})
+
+    def test_comments_and_blanks_skipped(self):
+        w = load_whitelist("# comment\n\n/a\n")
+        assert w.entries == frozenset({CanonicalPath("/a")})
+
+    def test_crlf_and_whitespace(self):
+        w = load_whitelist("  /a \r\n\t/b\r\n")
+        assert w.entries == frozenset({CanonicalPath("/a"), CanonicalPath("/b")})
+
+    def test_duplicates_collapse(self):
+        w = load_whitelist("/a\n/a\n")
+        assert len(w.entries) == 1
+
+    def test_non_canonical_entry_rejected_with_line_number(self):
+        with pytest.raises(NonCanonicalEntry) as err:
+            load_whitelist("a/b/\n")
+        assert err.value.line_number == 1
+
+    def test_non_canonical_line_number_counts_comments(self):
+        with pytest.raises(NonCanonicalEntry) as err:
+            load_whitelist("# header\n/a\n/b//c\n")
+        assert err.value.line_number == 3
+
+    def test_canonicalize_entries_opt_in(self):
+        w = load_whitelist("a/b/\n", canonicalize_entries=True)
+        assert w.entries == frozenset({CanonicalPath("/a/b")})
+
+    def test_nul_propagated_per_line(self):
+        with pytest.raises(EmbeddedNul) as err:
+            load_whitelist("# header\n/a\n/a\x00b\n")
+        assert str(err.value) == "whitelist line 3: path contains a NUL byte"
+
+    def test_too_long_line_names_its_line(self):
+        with pytest.raises(PathTooLong) as err:
+            load_whitelist("/a\n/" + "a" * 4096 + "\n")
+        assert str(err.value) == (
+            "whitelist line 2: path length 4097 exceeds limit 4096"
+        )
+
+    @pytest.mark.parametrize("inner", ["\r", "\x0c", "\x85", "\u2028"])
+    def test_lines_end_at_newline_only(self, inner):
+        # str.splitlines would cut "/a" + inner + "b" in two, and "b" is not
+        # canonical; --stdin reads the same text as one path.
+        w = load_whitelist("/a" + inner + "b\n/c\r\n")
+        assert w.entries == frozenset({"/a" + inner + "b", "/c"})
+
+    def test_file_in_default_text_mode_ends_lines_at_newline_only(self, tmp_path):
+        # Universal newlines would read "/a\rb" as "/a" and "b".
+        path = tmp_path / "whitelist.txt"
+        path.write_bytes(b"/a\rb\n/c\r\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            w = load_whitelist(fh)
+        assert w.entries == frozenset({"/a\rb", "/c"})
+
+    def test_entries_are_fixpoints(self):
+        w = load_whitelist("/a/b/c\n/x\n/\n")
+        for entry in w.entries:
+            assert canonicalize(validate_raw(entry)) == entry
+
     @pytest.mark.parametrize(
         "source,canonicalize_entries",
         [("/a/b\n/c\n/\n", False), ("a/b/\n/x/../c/.\n//\n", True)],
