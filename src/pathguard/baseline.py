@@ -12,7 +12,7 @@ Do not "fix" this module; its purpose is demonstrating someone else's bug.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import List, NamedTuple, Sequence, TextIO, Tuple
 
 from .canonical import canonicalize
 from .model import CanonicalPath, RawPathString, _new, _read_paths
@@ -117,9 +117,9 @@ def run_differential(corpus: Sequence[RawPathString]) -> List[DivergenceRecord]:
     return records
 
 
-def load_corpus(source: Union[str, Iterable[str]]) -> List[RawPathString]:
-    """Load raw test paths from text: one per line, lines ending at "\\n"
-    only, "#" comments and blanks skipped. A line that fails validation
-    raises EmbeddedNul or PathTooLong naming the line. An open file is read
-    whole, as :func:`~pathguard.canonical.load_whitelist` reads it."""
+def load_corpus(source: str | TextIO) -> List[RawPathString]:
+    """Load raw test paths from the whole text or a text file, read whole
+    and split into lines as ``model._read_paths`` states: one per line, "#"
+    comments and blanks skipped, order and duplicates kept. A line that
+    fails validation raises EmbeddedNul or PathTooLong naming the line."""
     return [_new(RawPathString, text) for text in _read_paths(source, "corpus")]

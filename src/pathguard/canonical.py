@@ -30,13 +30,14 @@ from __future__ import annotations
 import posixpath
 from itertools import repeat
 from operator import concat
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
 
 from .model import CanonicalPath, RawPathString, Whitelist, _new, _read_paths
 
-# posixpath.normpath's core: posix._path_normpath in C on 3.11+, called
-# without the public wrapper's fspath and bytes handling; the pure-Python
-# normpath on 3.10. Only checked text may reach it, because early 3.11
+# posixpath.normpath's core in C, called without the public wrapper's
+# fspath and bytes handling: posixpath._path_normpath on 3.11 and 3.12. On
+# 3.13 that name is gone and posixpath.normpath is the C core itself; on
+# 3.10 it is pure Python. Only checked text may reach it, because early 3.11
 # releases of the C core stopped at a NUL (CPython gh-106242).
 _normpath = getattr(posixpath, "_path_normpath", posixpath.normpath)
 
@@ -134,17 +135,14 @@ def sanitize(raw: RawPathString, whitelist: Whitelist) -> bool:
 
 
 def load_whitelist(
-    source: Union[str, Iterable[str]], *, canonicalize_entries: bool = False
+    source: str | TextIO, *, canonicalize_entries: bool = False
 ) -> Whitelist:
-    """Load a whitelist from line-oriented text.
-
-    One path per line, lines ending at "\\n" only; "#"-prefixed lines and
-    blank lines are ignored; surrounding spaces, tabs and line endings are
-    stripped; duplicates collapse.
+    """Load a whitelist from the whole text or a text file, read whole and
+    split into lines as ``model._read_paths`` states: one path per line,
+    "#" comments and blank lines ignored, duplicates collapsed.
     Entries must already be canonical unless ``canonicalize_entries`` is
     set -- silent rewriting would hide operator mistakes in a security
-    control, so auto-fixing is opt-in. An open file is read whole, and each
-    check runs once over all the entries.
+    control, so auto-fixing is opt-in.
 
     Raises:
         NonCanonicalEntry: a line is not a fixpoint of canonicalization.

@@ -241,11 +241,22 @@ def _answers(
         first += len(block)
 
 
+def _one_line(text: Optional[str], what: str) -> Optional[str]:
+    """``text`` as given, or ValueError naming it as ``what`` if it holds a
+    "\\n": each answer is one line of stdout, and a "\\n" would forge more.
+    No ``--stdin`` line or whitelist entry can hold one."""
+    if text is not None and "\n" in text:
+        raise ValueError(f"{what} contains a newline")
+    return text
+
+
 def _cmd_paths(args: argparse.Namespace) -> int:
     """Set up ``canon`` or ``check`` from ``args``, then write each block's
     texts from :func:`_answers`, stderr first, and exit with the worst code."""
     try:
-        root = None if args.root is None else CanonicalPath(args.root)
+        path = _one_line(args.path, "path")
+        root = _one_line(args.root, "--root")
+        root = None if root is None else CanonicalPath(root)
         whitelist = None
         if args.whitelist is not None:
             with _open_lines(args.whitelist) as fh:
@@ -254,11 +265,11 @@ def _cmd_paths(args: argparse.Namespace) -> int:
                 )
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    if args.stdin and args.path is not None:
+    if args.stdin and path is not None:
         return _fail("--stdin and a path argument are mutually exclusive")
-    if not args.stdin and args.path is None:
+    if not args.stdin and path is None:
         return _fail("a path argument is required (or use --stdin)")
-    blocks = _stdin_blocks(sys.stdin) if args.stdin else iter([[args.path]])
+    blocks = _stdin_blocks(sys.stdin) if args.stdin else iter([[path]])
     worst = EXIT_OK
     answers = _answers(blocks, args.stdin, root, whitelist, args.strict_underflow)
     for out, err, code in answers:

@@ -19,7 +19,7 @@ equality can never turn a deny into an allow.
 from __future__ import annotations
 
 import io
-from typing import Iterable, List, Union
+from typing import List, TextIO
 
 # The longest path, in characters, that validate_raw accepts.
 MAX_PATH_LEN = 4096
@@ -193,18 +193,19 @@ class CanonicalPath(str):
 
 
 def _read_paths(
-    source: Union[str, Iterable[str]], kind: str, canonical: bool = False
+    source: str | TextIO, kind: str, canonical: bool = False
 ) -> List[str]:
     """The paths of a whitelist or corpus file, in order, held to the NUL
     and length rule and, if ``canonical`` is set, to be canonical.
 
-    ``source`` is the whole text or an iterable of lines. A text-mode file
-    is switched to ``newline="\\n"`` and read whole: the load holds its
-    text and one list of its lines. Lines end at "\\n" only, as on
-    ``--stdin``. Surrounding spaces, tabs and line endings are stripped;
-    blank lines and "#" comments are skipped but counted. Each check runs
-    once over all the paths; the lines are walked one by one only to name
-    the first that fails.
+    ``source`` is the whole text or a text file object, which is read
+    whole; a text-mode file (``io.TextIOWrapper``) is first switched to
+    ``newline="\\n"``. Any other source, such as a list of lines, raises.
+    The load holds the text and one list of its lines. Lines end at "\\n"
+    only, as on ``--stdin``. Surrounding spaces, tabs and line endings are
+    stripped; blank lines and "#" comments are skipped but counted. Each
+    check runs once over all the paths; the lines are walked one by one
+    only to name the first that fails.
 
     Raises:
         EmbeddedNul, PathTooLong: with ``"<kind> line N: "`` in front.
@@ -213,8 +214,7 @@ def _read_paths(
     """
     if isinstance(source, io.TextIOWrapper):
         source.reconfigure(newline="\n")
-        source = source.read()
-    lines = source.split("\n") if isinstance(source, str) else list(source)
+    lines = (source if isinstance(source, str) else source.read()).split("\n")
     paths = [p for line in lines if (p := line.strip(" \t\r\n")) and p[0] != "#"]
     if _all_checked(paths) and (not canonical or _all_canonical(paths)):
         return paths

@@ -1,5 +1,6 @@
 import os
 import sys
+from types import BuiltinFunctionType
 
 import pytest
 
@@ -278,6 +279,13 @@ class TestDecisionFrames:
     more Python frame on them costs measurable latency, so the frames are
     pinned. validate_raw and the public functions check inline for this, and
     canonicalize and sanitize compute normpath's text inline."""
+
+    def test_normpath_is_the_c_core(self):
+        # Every decision's text comes from _normpath. A CPython that moved
+        # the C core again would otherwise send them all through the
+        # pure-Python normpath, as 3.10 does, with no test failing.
+        c_core = sys.implementation.name == "cpython" and sys.version_info >= (3, 11)
+        assert isinstance(canonical._normpath, BuiltinFunctionType) == c_core
 
     @pytest.mark.parametrize("text", ["/a/b", "a/../../b/./c//", ""])
     def test_each_decision_enters_two_functions(self, text):

@@ -291,6 +291,54 @@ class TestCheck:
         assert out == "ALLOW /a/b/c\nDENY /nope\n"
 
 
+def _fails_if_read():
+    raise AssertionError("stdin was read")
+
+
+class TestArgumentErrors:
+    """Arguments that can have no answer: exit 2, one ``pathguard:`` line,
+    nothing on stdout, and stdin never read."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # Each answer is one line of stdout, so a "\n" in the path or
+            # the root would forge more: here "DENY /y", then "ALLOW /x".
+            (
+                ["check", "--whitelist", "w.txt", "/y\nALLOW /x"],
+                "path contains a newline",
+            ),
+            (["canon", "a\n/b"], "path contains a newline"),
+            (["canon", "--root", "/a\nb", "x"], "--root contains a newline"),
+            # Refused before the whitelist is read: this one does not exist.
+            (
+                ["check", "--whitelist", "missing.txt", "--root", "/a\nb", "--stdin"],
+                "--root contains a newline",
+            ),
+            (
+                ["canon", "--stdin", "/a"],
+                "--stdin and a path argument are mutually exclusive",
+            ),
+            (
+                ["check", "--whitelist", "w.txt", "--stdin", "/a"],
+                "--stdin and a path argument are mutually exclusive",
+            ),
+        ],
+        ids=[
+            "check-path-newline", "canon-path-newline", "canon-root-newline",
+            "check-root-newline-before-the-whitelist", "canon-stdin-and-path",
+            "check-stdin-and-path",
+        ],
+    )
+    def test_refused_before_stdin_is_read(
+        self, capsys, monkeypatch, tmp_path, argv, message
+    ):
+        (tmp_path / "w.txt").write_text("/x\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", ByteStdin([], _fails_if_read))
+        assert run(capsys, *argv) == (2, "", f"pathguard: {message}\n")
+
+
 def batch_lines(n):
     """``n`` input lines of every kind: allowed, denied, climbing, CRLF."""
     kinds = ["/a/b/c", "./a/b/c", "../../a/b/c/", "/a//b/./c/d/..", "/etc/passwd",
@@ -490,8 +538,9 @@ class TestStdinStream:
         got, want = edge_answer(command, text, None, False)
         assert got == want and got[0] == (command == "check")
 
-    # An undecodable stdin raises ValueError, a failed read (ECONNRESET on
-    # a socket, say) an OSError.
+    # A stdin file object that is closed raises ValueError, a failed read
+    # (ECONNRESET on a socket, say) an OSError. Decoding never fails: the
+    # UTF-8 decoder with surrogateescape takes any bytes.
     @pytest.mark.parametrize("error", [ValueError, ConnectionResetError])
     @pytest.mark.parametrize("command", ["canon", "check"])
     def test_read_error_keeps_the_lines_before_it(
@@ -695,7 +744,10 @@ def edge_batch(fault):
 def line_error(line, root=None):
     """The error that the NUL and length rule gives ``line``, checked on its
     own and then, under ``root``, as the jailed path ``root + "/" + line``,
-    or None."""
+    or None. A line that holds a "\\n", which only a path argument can, is
+    refused first."""
+    if "\n" in line:
+        return "path contains a newline"
     jailed = [] if root is None else [("jailed path", root + "/" + line)]
     for what, path in [("path", line), *jailed]:
         if "\x00" in path:
@@ -977,23 +1029,30 @@ class TestStdinSweep:
     @MODES
     def test_every_path_argument_up_to_length_4(self, command, strict):
         # A path argument is one block of one line, as _cmd_paths passes
-        # it: not numbered, not split and no "\r" stripped. Every string
-        # over SWEEP_BYTES but "\n" up to 4 bytes, then the longest path
-        # that passes and one past it.
+        # it: not numbered, not split and no "\r" stripped, and refused,
+        # as _cmd_paths reports it, if it holds a "\n". Every string over
+        # SWEEP_BYTES up to 4 bytes, then the longest path that passes and
+        # one past it.
         whitelist = pathguard.Whitelist(SWEEP_ALLOWED) if command == "check" else None
-        argv_bytes = [b for b in SWEEP_BYTES if b != b"\n"]
+
+        def answers(path):
+            try:
+                block = [cli._one_line(path, "path")]
+            except ValueError as exc:
+                return [("", f"pathguard: {exc}\n", 2)]
+            return list(cli._answers(iter([block]), False, None, whitelist, strict))
+
         paths = [
             b"".join(chars).decode("utf-8", "surrogateescape")
             for n in range(5)
-            for chars in itertools.product(argv_bytes, repeat=n)
+            for chars in itertools.product(SWEEP_BYTES, repeat=n)
         ] + ["a" * 4096, "a" * 4097]
         wrong = [
             path
             for path in paths
-            if list(cli._answers(iter([[path]]), False, None, whitelist, strict))
-            != [line_answer(path, whitelist, strict)]
+            if answers(path) != [line_answer(path, whitelist, strict)]
         ]
-        assert (len(paths), wrong[:5]) == (2_803, [])
+        assert (len(paths), wrong[:5]) == (4_683, [])
 
     def test_the_reference(self):
         # The rules the sweep holds --stdin to, on inputs whose answers are
@@ -1017,6 +1076,9 @@ class TestStdinSweep:
             1,
         )
         assert line_answer("a\x00") == ("", "pathguard: path contains a NUL byte\n", 2)
+        assert line_answer("a\x00\n/b", SWEEP_ALLOWED) == (
+            "", "pathguard: path contains a newline\n", 2
+        )
         assert stdin_reference(b"") == (0, "", "")
         assert stdin_reference(b"\n") == stdin_reference(b"\r") == (0, "/\n", "")
         # The length rule at its edge, alone and then jailed under a root,

@@ -56,6 +56,8 @@ class TestValidateRaw:
     @pytest.mark.parametrize(
         "text",
         ["", "/a/b", "a" * 4096, "a" * 4097, "\x00/a", "/a\x00b", "/a\x00", "\x00" * 4097],
+        ids=["empty", "short", "len-4096", "len-4097", "nul-first", "nul-inner",
+             "nul-last", "nul-4097"],
     )
     def test_internal_check_agrees_with_validate_raw(self, text):
         # validate_raw writes _checked's rule out inline, and RawPathString(text)
@@ -370,8 +372,8 @@ class TestLoaderMatchesPerLineLoad:
         ids=["whitelist", "whitelist-canonicalize-entries", "corpus"],
     )
     def test_every_text_of_up_to_three_lines(self, kind, canonicalize_entries):
-        # Every text of one to three LINE_SHAPES, as a string, as a list of
-        # lines and as a text file in the default mode; when two lines
+        # Every text of one to three LINE_SHAPES, as a string, as a
+        # StringIO and as a text file in the default mode; when two lines
         # fail, the first in file order wins, whichever check each fails.
         def load(source):
             if kind == "corpus":
@@ -383,11 +385,10 @@ class TestLoaderMatchesPerLineLoad:
             for shapes in itertools.product(LINE_SHAPES, repeat=count):
                 text = "\n".join(shapes)
                 want = _outcome(lambda: _per_line_load(text, kind, canonicalize_entries))
-                lines = [shape + "\n" for shape in shapes]
                 data = text.encode("utf-8", "surrogateescape")
                 sources = [
                     text,
-                    lines,
+                    io.StringIO(text),
                     io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
                 ]
                 for source in sources:
@@ -395,6 +396,16 @@ class TestLoaderMatchesPerLineLoad:
                     assert got == want, (shapes, type(source).__name__)
                 texts += 1
         assert texts == 4_368
+
+    @pytest.mark.parametrize(
+        "make", [list, lambda lines: (line for line in lines)], ids=["list", "generator"]
+    )
+    def test_lines_are_not_a_source(self, make):
+        # The text or a text file only, so every load is split by the one
+        # line rule, not by however the caller cut the lines.
+        for load in (load_whitelist, load_corpus):
+            with pytest.raises(AttributeError):
+                load(make(["/a\n", "/b\n"]))
 
     def test_file_already_read_from_is_refused(self):
         fh = io.TextIOWrapper(io.BytesIO(b"/a\n/b\n"), encoding="utf-8")
