@@ -149,7 +149,7 @@ def load_whitelist(
         EmbeddedNul, PathTooLong: a line fails validation; the message
             names the line.
         io.UnsupportedOperation: ``source`` is a text file that has already
-            been read from.
+            been read from, or that can seek and does not stand at its start.
     """
     paths = _read_paths(source, "whitelist", canonical=not canonicalize_entries)
     if canonicalize_entries:

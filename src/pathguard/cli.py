@@ -16,12 +16,17 @@ All behavior is flag-driven; there is no environment or config-file
 state. Stdin is read, and stdout and stderr are written, as bytes in the
 whitelist's codec whatever the locale, so one set of input bytes always
 gets the same answer and report bytes, and the ``sys`` streams are left as
-they were.
+they were. Once its answers are flushed, the ``pathguard`` command
+(:func:`run`) runs the process's exit handlers and ends with ``os._exit``,
+with no interpreter teardown. So a profiler wrapped around
+``python -m pathguard.cli`` (such as ``-m cProfile``) prints nothing;
+profile by calling :func:`main` in-process, as ``bench/layers.py`` does.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 import time
@@ -388,28 +393,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> None:
+    """The ``pathguard`` command: :func:`main` on ``sys.argv``, then the
+    process ends. Once the answers are flushed, the exit handlers that other
+    code registered (site hooks, coverage) run, and ``os._exit`` ends the
+    process without Python's teardown of its modules and objects, which
+    would cost each run more than its answers do. So a profiler wrapped
+    around the command prints nothing: profile :func:`main` in-process.
+    argparse's ``SystemExit`` (a usage error, ``--help``) exits as usual."""
     try:
         code = main()
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError as exc:
         # An output failed: its reader is gone (``| head``, say) or it
-        # cannot be written (EBADF). Each stream that still fails to flush
-        # is pointed at /dev/null, so that the flush at exit cannot fail
-        # again. Only a failed stdout can be reported: a failed stderr takes
-        # the report with it.
-        null = os.open(os.devnull, os.O_WRONLY)
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError:
-            os.dup2(null, sys.stdout.fileno())
+        # cannot be written (EBADF). Only a failed stdout can be reported:
+        # a failed stderr takes the report with it.
         try:
             code = _fail(f"stdout: {exc.strerror}")
         except OSError:
-            os.dup2(null, sys.stderr.fileno())
             code = EXIT_USAGE
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:  # what the handlers wrote; a stream that failed stays unreported
+        for stream in (sys.stderr, sys.stdout):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

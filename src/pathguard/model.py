@@ -199,24 +199,34 @@ def _read_paths(
     and length rule and, if ``canonical`` is set, to be canonical.
 
     ``source`` is the whole text or a text file object, which is read
-    whole; a text-mode file (``io.TextIOWrapper``) is first switched to
-    ``newline="\\n"``. Any other source, such as a list of lines, raises.
-    The load holds the text and one list of its lines. Lines end at "\\n"
-    only, as on ``--stdin``. Surrounding spaces, tabs and line endings are
-    stripped; blank lines and "#" comments are skipped but counted. Each
-    check runs once over all the paths; the lines are walked one by one
-    only to name the first that fails.
+    whole from its start; a text-mode file (``io.TextIOWrapper``) is first
+    switched to ``newline="\\n"``. Any other source, such as a list of
+    lines, raises. The load holds the text and one list of its lines. Lines
+    end at "\\n" only, as on ``--stdin``. Surrounding spaces, tabs and line
+    endings are stripped; blank lines and "#" comments are skipped but
+    counted. Each check runs once: the NUL test on the whole text, the
+    length test on the longest path, the canonical test over all the
+    paths. A NUL anywhere, even in a comment, sends the load to the walk
+    over the lines one by one, which names the first that fails, if any.
 
     Raises:
         EmbeddedNul, PathTooLong: with ``"<kind> line N: "`` in front.
         NonCanonicalEntry: ``canonical`` is set and a line is not canonical.
-        io.UnsupportedOperation: ``source`` is a text file already read from.
+        io.UnsupportedOperation: ``source`` is a text file already read
+            from, or one that can seek and does not stand at its start.
     """
     if isinstance(source, io.TextIOWrapper):
         source.reconfigure(newline="\n")
-    lines = (source if isinstance(source, str) else source.read()).split("\n")
+    if not isinstance(source, str) and source.seekable() and source.tell():
+        raise io.UnsupportedOperation("a text file must be loaded from its start")
+    text = source if isinstance(source, str) else source.read()
+    lines = text.split("\n")
     paths = [p for line in lines if (p := line.strip(" \t\r\n")) and p[0] != "#"]
-    if _all_checked(paths) and (not canonical or _all_canonical(paths)):
+    if (
+        "\x00" not in text
+        and max(map(len, paths), default=0) <= MAX_PATH_LEN
+        and (not canonical or _all_canonical(paths))
+    ):
         return paths
     for line_number, line in enumerate(lines, start=1):
         path = line.strip(" \t\r\n")

@@ -1,3 +1,4 @@
+import io
 import ntpath
 from urllib.parse import unquote
 
@@ -104,6 +105,12 @@ class TestLoadCorpus:
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             corpus = load_corpus(fh)
         assert [r.text for r in corpus] == ["/a\rb", "./c"]
+
+    def test_text_file_not_at_its_start_is_refused(self):
+        fh = io.StringIO("./a\n./b\n/c\x00\n")
+        fh.readline()
+        with pytest.raises(io.UnsupportedOperation):
+            load_corpus(fh)
 
     @pytest.mark.parametrize(
         "line,error,reason",

@@ -1,3 +1,4 @@
+import atexit
 import io
 import itertools
 import json
@@ -37,14 +38,17 @@ class ByteStdin:
         return b""
 
 
-def spawn(*argv, **kwargs):
-    """``subprocess.Popen`` of ``python -m pathguard.cli *argv`` with this
-    pathguard importable; ``env`` entries are added to the environment."""
+def python(*argv, **kwargs):
+    """``subprocess.Popen`` of ``python *argv`` with this pathguard
+    importable; ``env`` entries are added to the environment."""
     src = os.path.dirname(os.path.dirname(pathguard.__file__))
     env = dict(os.environ, PYTHONPATH=src, **kwargs.pop("env", {}))
-    return subprocess.Popen(
-        [sys.executable, "-m", "pathguard.cli", *argv], env=env, **kwargs
-    )
+    return subprocess.Popen([sys.executable, *argv], env=env, **kwargs)
+
+
+def spawn(*argv, **kwargs):
+    """:func:`python` of ``-m pathguard.cli *argv``."""
+    return python("-m", "pathguard.cli", *argv, **kwargs)
 
 
 def read_answer(stream, seconds):
@@ -635,26 +639,26 @@ class TestClosedStreams:
 
     def test_run_without_stdout_or_a_working_stderr(self, monkeypatch):
         # The same, in-process: run() neither flushes a stdout that is None
-        # nor lets the failed report escape, and it exits 2.
-        reader, writer = os.pipe()
-
+        # nor lets the failed report escape, and it exits 2. Here os._exit
+        # raises, and the exit handlers, which are this process's own, are
+        # only counted.
         class Broken(io.StringIO):
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
 
-            def fileno(self):
-                return writer
+        def exit_now(code):
+            raise SystemExit(code)
 
+        handlers_run = []
+        monkeypatch.setattr(os, "_exit", exit_now)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: handlers_run.append(1))
         monkeypatch.setattr(sys, "argv", ["pathguard", "canon", "/a"])
         monkeypatch.setattr(sys, "stdout", None)
         monkeypatch.setattr(sys, "stderr", Broken())
-        try:
-            with pytest.raises(SystemExit) as raised:
-                cli.run()
-        finally:
-            os.close(reader)
-            os.close(writer)
+        with pytest.raises(SystemExit) as raised:
+            cli.run()
         assert raised.value.code == 2
+        assert handlers_run == [1]
 
     @pytest.mark.parametrize(
         "stream, argv, message",
@@ -686,6 +690,48 @@ class TestClosedStreams:
         monkeypatch.setattr("sys.stderr", None)
         assert main(argv) == code
         assert out.getvalue() == want
+
+
+# Registers an exit handler that writes a marker file, then runs the command.
+MARKED_RUN = """
+import atexit, sys
+from pathguard import cli
+
+marker = sys.argv[1]
+
+def mark():
+    with open(marker, "w") as fh:
+        fh.write("ran")
+
+atexit.register(mark)
+sys.argv = ["pathguard", "canon", "--stdin"]
+cli.run()
+"""
+
+
+class TestFastExit:
+    @pytest.mark.parametrize("to", ["file", "pipe"])
+    def test_exit_handlers_run_and_every_answer_is_out(self, tmp_path, to):
+        # run() ends in os._exit, which flushes nothing: every byte of over
+        # 1 MiB of answers must be out by then, and the handlers run first.
+        # Buffered, and the last line has no "\n", so its answer is a write
+        # of its own, too small to bypass stdout's buffer.
+        data = "\n".join(batch_lines(120_000)).encode()
+        assert len(data) >= 1 << 20
+        want = stdin_reference(data)
+        assert want[0] == 0 and want[2] == ""
+        marker, answers = tmp_path / "marker", tmp_path / "answers"
+        with open(answers, "wb") as fh:
+            out = fh if to == "file" else subprocess.PIPE
+            with python(
+                "-c", MARKED_RUN, str(marker), env={"PYTHONUNBUFFERED": ""},
+                stdin=subprocess.PIPE, stdout=out, stderr=subprocess.PIPE,
+            ) as child:
+                got, err = child.communicate(data, timeout=60)
+        if to == "file":
+            got = answers.read_bytes()
+        assert (child.returncode, got, err) == (0, want[1].encode(), b"")
+        assert marker.read_text() == "ran"
 
 
 # Lines at the edges of the blocks that edge_reads cuts a 2,500-line batch
