@@ -14,11 +14,13 @@ text)``, posixpath's normpath core in C on 3.11+. :func:`canonicalize` and
 beyond ``validate_raw`` and the public function; :func:`_canonical_texts`
 is its bulk form, for batches, sweeps and ``load_whitelist``. The count of
 ".." parts ignored at the root, :func:`underflows`, takes the same
-normpath on the relative form. The walk stays the reference: the test
-suite pins each copy of the text, and the count, equal to the walk's on
-every string over "/.ab" and "/.a" up to length 10 and on arbitrary text.
-The walk computes only the traced variant, which records the stack as a
-tuple after every non-empty part.
+normpath on the relative form. The test suite pins each copy of the text,
+and the count, equal to those of a reference walk that shares no code with
+this module (``tests/spec.py``), on every string over "/.ab" and "/.a" up
+to length 10 and on arbitrary text. Here the walk computes only
+:func:`canonicalize_traced`, which records the stack as a tuple after
+every non-empty part; the suite holds its text and snapshots to the
+reference's too.
 
 Each public function checks once, on entry, that its argument is a
 :class:`RawPathString`, and raises TypeError if not. The private functions
@@ -30,7 +32,7 @@ from __future__ import annotations
 import posixpath
 from itertools import repeat
 from operator import concat
-from typing import Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Iterable, Iterator, List, TextIO, Tuple
 
 from .model import CanonicalPath, RawPathString, Whitelist, _new, _read_paths
 
@@ -42,25 +44,21 @@ from .model import CanonicalPath, RawPathString, Whitelist, _new, _read_paths
 _normpath = getattr(posixpath, "_path_normpath", posixpath.normpath)
 
 
-def _walk(text: str, trace: Optional[list] = None) -> Tuple[List[str], int]:
-    """The stack walk over checked text. Returns (stack, underflow count).
-    When ``trace`` is a list, ``tuple(stack)`` is appended to it after
-    every non-empty part, "." and ".." included."""
+def _walk(text: str, trace: list) -> List[str]:
+    """The stack walk over checked text. Returns the final stack, and
+    appends ``tuple(stack)`` to ``trace`` after every non-empty part, "."
+    and ".." included."""
     stack: List[str] = []
-    underflows = 0
     for part in text.split("/"):
         if not part:
             continue
         if part == "..":
             if stack:
                 stack.pop()
-            else:
-                underflows += 1
         elif part != ".":
             stack.append(part)
-        if trace is not None:
-            trace.append(tuple(stack))
-    return stack, underflows
+        trace.append(tuple(stack))
+    return stack
 
 
 def _canonical_texts(texts: Iterable[str], prefix: str = "") -> Iterator[str]:
@@ -116,13 +114,13 @@ def canonicalize_traced(
     and one snapshot per part: the stack's names, bottom to top. The
     snapshots exist so the loop invariant (each intermediate stack is a
     prefix of the final path, or its excess entries are later popped) can
-    be tested on the walk. Decisions take their text from normpath; the
-    walk is the reference it is pinned to.
+    be tested on the walk. Decisions take their text from normpath, not
+    from this walk; the test suite holds both to its reference walk.
     """
     if not isinstance(raw, RawPathString):
         raise TypeError(f"expected a RawPathString, got {type(raw).__name__}")
     trace: List[Tuple[str, ...]] = []
-    stack, _ = _walk(raw, trace)
+    stack = _walk(raw, trace)
     return _new(CanonicalPath, "/" + "/".join(stack)), tuple(trace)
 
 

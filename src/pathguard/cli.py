@@ -261,7 +261,7 @@ def _cmd_paths(args: argparse.Namespace) -> int:
     try:
         path = _one_line(args.path, "path")
         root = _one_line(args.root, "--root")
-        root = None if root is None else CanonicalPath(root)
+        root = None if root is None else CanonicalPath(_checked(root, "--root"))
         whitelist = None
         if args.whitelist is not None:
             with _open_lines(args.whitelist) as fh:

@@ -1,5 +1,8 @@
 """Checkers and generators shared by the acceptance, canonical and property
-tests.
+tests. The reference they hold pathguard to is ``spec``'s, which shares no
+code with pathguard: :func:`fast_path_check` compares the fast path with
+``spec.walk``, and :func:`trace_invariant_holds` the shipped walk, which
+only ``canonicalize_traced`` runs.
 
 :func:`sweep` walks every string of a space once for two checks, and both
 read its tagged findings: criterion 1 (oracle agreement over "/.ab" up to
@@ -9,14 +12,15 @@ findings. It runs once per space per process, so the whole suite
 enumerates "/.ab" up to length 10 once, and either test run alone still
 sweeps the whole space.
 
-Run as a script, it is both checks without pytest, for Pythons that have
-only the stdlib:
+Run as a script, it is both checks on the stdlib alone (``-S`` keeps
+site-packages out, so an import of pytest or hypothesis here or in
+``spec`` fails):
 
-    PYTHONPATH=src python tests/invariant_checks.py
+    PYTHONPATH=src python -S tests/invariant_checks.py
 
 It exits 1 if, on any string of either space in FAST_PATH_SPACES,
-normpath's text, from any of its copies, or count differs from the stack
-walk's, or the oracle's text differs from :func:`canonicalize`'s.
+normpath's text, from any of its copies, or count differs from
+``spec.walk``'s, or the oracle's text differs from :func:`canonicalize`'s.
 """
 
 from __future__ import annotations
@@ -33,8 +37,9 @@ from pathguard import (
     sanitize,
     total_count,
 )
-from pathguard.canonical import _canonical_texts, _walk, underflows
+from pathguard.canonical import _canonical_texts, underflows
 from pathguard.verifier import _sharded
+from spec import walk
 
 FRESH_NAMES = ["zz", "q", "tmp0", "tmp1", "w"]
 
@@ -52,7 +57,7 @@ def fast_path_check(prefix, suffixes):
     and built once with the checked ``RawPathString(text)``, on which
 
     - ``FAST_PATH``: a copy of the fast path's text or :func:`underflows`
-      differs from the stack walk's. The copies are :func:`canonicalize`'s,
+      differs from ``spec.walk``'s. The copies are :func:`canonicalize`'s,
       :func:`sanitize`'s (a one-entry whitelist holding the walk's text must
       admit the string, so its text is exactly the walk's) and the block's
       one call of the bulk form, as the sweeps and batches make it;
@@ -63,7 +68,7 @@ def fast_path_check(prefix, suffixes):
     found = []
     bulk = _canonical_texts(suffixes, prefix)
     for text, out in zip(map(prefix.__add__, suffixes), bulk):
-        stack, ignored = _walk(text)
+        stack, ignored = walk(text)
         walked = "/" + "/".join(stack)
         raw = RawPathString(text)
         canonical = canonicalize(raw)
@@ -94,13 +99,17 @@ def findings(alphabet: str, kind: str) -> list:
 
 
 def trace_invariant_holds(text: str) -> bool:
-    """Loop invariant: each intermediate stack is a component-prefix of the
-    final path, or every entry beyond the common prefix is popped later."""
+    """:func:`canonicalize_traced`'s text and every snapshot equal
+    ``spec.walk``'s, and the loop invariant holds: each intermediate stack
+    is a component-prefix of the final path, or every entry beyond the
+    common prefix is popped later."""
     final, trace = canonicalize_traced(RawPathString(text))
+    walked = []
+    if final != "/" + "/".join(walk(text, walked)[0]) or trace != tuple(walked):
+        return False
     target = final[1:].split("/") if final != "/" else []
-    snapshots = trace
-    sizes = [len(s) for s in snapshots]
-    for i, snap in enumerate(snapshots):
+    sizes = [len(s) for s in trace]
+    for i, snap in enumerate(trace):
         stack = list(snap)
         common = 0
         while (

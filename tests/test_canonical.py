@@ -248,11 +248,11 @@ class TestFastPath:
             canonicalize(validate_raw(text))
         with pytest.raises(EmbeddedNul):
             sanitize(validate_raw(text), whitelist)
-        # A --root is a CanonicalPath, which does not check for NUL; the
-        # jailed path is checked as a whole.
+        # A --root is a CanonicalPath, which does not check for NUL, so it
+        # is held to the NUL and length rule on its own, before any line.
         assert cli.main(["canon", "--root", "/a\x00b", "c"]) == 2
         err = capsys.readouterr().err
-        assert err == "pathguard: jailed path contains a NUL byte\n"
+        assert err == "pathguard: --root contains a NUL byte\n"
         assert reached == []
 
 

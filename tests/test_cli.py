@@ -18,6 +18,7 @@ from pathguard import verifier as verifier_module
 from pathguard.canonical import _canonical_texts
 from pathguard.model import _all_checked
 from pathguard.cli import main
+from spec import line_answer, line_error, stdin_reference
 
 
 class ByteStdin:
@@ -319,6 +320,12 @@ class TestArgumentErrors:
                 ["check", "--whitelist", "missing.txt", "--root", "/a\nb", "--stdin"],
                 "--root contains a newline",
             ),
+            # Held to the NUL and length rule once, not on every jailed line.
+            (["canon", "--root", "/a\x00b", "--stdin"], "--root contains a NUL byte"),
+            (
+                ["canon", "--root", "/" + "a" * 4096, "--stdin"],
+                "--root length 4097 exceeds limit 4096",
+            ),
             (
                 ["canon", "--stdin", "/a"],
                 "--stdin and a path argument are mutually exclusive",
@@ -330,7 +337,8 @@ class TestArgumentErrors:
         ],
         ids=[
             "check-path-newline", "canon-path-newline", "canon-root-newline",
-            "check-root-newline-before-the-whitelist", "canon-stdin-and-path",
+            "check-root-newline-before-the-whitelist", "canon-root-nul",
+            "canon-root-too-long", "canon-stdin-and-path",
             "check-stdin-and-path",
         ],
     )
@@ -379,16 +387,15 @@ class TestStdinStream:
         assert out == "/srv/a\n/srv/c\n"
         assert err == "pathguard: line 2: jailed path length 4100 exceeds limit 4096\n"
 
-    def test_nul_in_root_fails_every_line(self, capsys, monkeypatch):
-        # A --root is not checked for NUL on its own; every jailed line
-        # carries it and is refused.
-        monkeypatch.setattr("sys.stdin", ByteStdin([b"c\nd\n"]))
+    def test_nul_in_root_is_refused_before_any_line(self, capsys, monkeypatch):
+        # A --root is held to the NUL and length rule once, on its own: one
+        # error, and no line is read, where each jailed line would carry
+        # the NUL and fail on its own.
+        stdin = ByteStdin([b"c\nd\n"])
+        monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "canon", "--root", "/a\x00b", "--stdin")
-        assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            "pathguard: line 1: jailed path contains a NUL byte",
-            "pathguard: line 2: jailed path contains a NUL byte",
-        ]
+        assert (code, out, err) == (2, "", "pathguard: --root contains a NUL byte\n")
+        assert next(stdin.chunks) == b"c\nd\n"
 
     def test_undecodable_stdin_is_answered_byte_for_byte(self, monkeypatch):
         # Both streams' bytes are read and written as UTF-8 with
@@ -787,70 +794,6 @@ def edge_batch(fault):
     return "".join(t + endings[i % 3] for i, t in enumerate(lines[:-1])) + lines[-1]
 
 
-def line_error(line, root=None):
-    """The error that the NUL and length rule gives ``line``, checked on its
-    own and then, under ``root``, as the jailed path ``root + "/" + line``,
-    or None. A line that holds a "\\n", which only a path argument can, is
-    refused first."""
-    if "\n" in line:
-        return "path contains a newline"
-    jailed = [] if root is None else [("jailed path", root + "/" + line)]
-    for what, path in [("path", line), *jailed]:
-        if "\x00" in path:
-            return f"{what} contains a NUL byte"
-        if len(path) > 4096:
-            return f"{what} length {len(path)} exceeds limit 4096"
-    return None
-
-
-def line_answer(line, allowed=None, strict=False, root=None, at="pathguard: "):
-    """The stdout text, stderr text and exit code of one line, as
-    ``cli._answers`` yields a block's, from the line rules alone. A line that
-    breaks the NUL and length rule (``line_error``) is an error, told after
-    ``at``. Any other line, put under ``root`` if there is one, is walked on
-    a stack of its own, which gives its canonical text and the ".." it
-    ignores at the root, reported under ``strict``. With ``allowed``, the
-    answer is ``check``'s. A path argument is such a line as it stands."""
-    if error := line_error(line, root):
-        return "", f"{at}{error}\n", 2
-    stack, ignored = [], 0
-    for part in (line if root is None else root + "/" + line).split("/"):
-        if part == "..":
-            if stack:
-                stack.pop()
-            else:
-                ignored += 1
-        elif part not in ("", "."):
-            stack.append(part)
-    text = "/" + "/".join(stack)
-    report = ""
-    if strict and ignored:
-        report = f"{at}{ignored} parent reference(s) ignored at the root in {line!r}\n"
-    if allowed is None:
-        return text + "\n", report, 0
-    if text in allowed:
-        return "ALLOW " + text + "\n", report, 0
-    return "DENY " + text + "\n", report, 1
-
-
-def stdin_reference(data, allowed=None, strict=False, root=None):
-    """The exit code, stdout and stderr of ``--stdin`` on ``data``: split on
-    "\n", drop one final empty piece, strip trailing "\r"s, decode with
-    surrogateescape, and answer each line as ``line_answer`` does, its
-    errors and reports told by line number, in line order."""
-    pieces = data.split(b"\n")
-    if pieces[-1] == b"":
-        pieces.pop()
-    outs, errs, codes = zip(("", "", 0), *(
-        line_answer(
-            piece.rstrip(b"\r").decode("utf-8", "surrogateescape"),
-            allowed, strict, root, f"pathguard: line {number}: ",
-        )
-        for number, piece in enumerate(pieces, start=1)
-    ))
-    return max(codes), "".join(outs), "".join(errs)
-
-
 def line_errors(err):
     """The lines of ``err`` that name a failing line, without the
     ``--strict-underflow`` reports."""
@@ -899,8 +842,7 @@ class TestBlockEdges:
 
     def test_strict_underflow_runs_no_walk(self, edge_answer, monkeypatch):
         # The ignored ".." are counted by normpath, as the texts are: the
-        # stack walk is the tests' reference and runs only in
-        # canonicalize_traced.
+        # shipped stack walk runs only in canonicalize_traced.
         def walk(*args):
             raise AssertionError("the stack walk ran")
 
@@ -1016,8 +958,8 @@ def stdin_runs(max_len):
 class TestStdinSweep:
     """Every input of a few bytes, cut into reads every way, gets from
     ``--stdin``'s reader and ``cli._answers`` the exit code, stdout and
-    stderr that the line rules give (``stdin_reference``, which shares no
-    code with pathguard.canonical), and so does every path argument of a
+    stderr that the line rules give (``spec.stdin_reference``, which shares
+    no code with pathguard), and so does every path argument of a
     few bytes (``line_answer``). The core takes the whitelist from memory,
     so no run pays for argparse, a whitelist file or a stream."""
 

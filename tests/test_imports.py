@@ -23,25 +23,37 @@ HEAVY = (
 )
 
 
-@pytest.mark.parametrize("module", ["pathguard", "pathguard.cli"])
-def test_import_loads_no_heavy_modules(module):
-    # -S: a .pth file in site-packages may load one of these before the
-    # package does, and hide the package's own import.
-    src = os.path.dirname(os.path.dirname(pathguard.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        f"import sys, {module}\n"
-        f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))\n"
-    )
+SRC = os.path.dirname(os.path.dirname(pathguard.__file__))
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _loaded_after_import(module, *path):
+    """The names in ``sys.modules`` once ``module`` is imported in a fresh
+    ``python -S`` child with ``path`` as its PYTHONPATH. -S keeps
+    site-packages out: a .pth file there may load modules before the import
+    does and hide what it loads, and a third-party import fails."""
     done = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
-        env=env,
+        [sys.executable, "-S", "-c", f"import sys, {module}\nprint(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True,
         text=True,
         timeout=60,
         check=True,
     )
-    assert done.stdout.strip() == ""
+    return done.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["pathguard", "pathguard.cli"])
+def test_import_loads_no_heavy_modules(module):
+    loaded = _loaded_after_import(module, SRC)
+    assert [m for m in HEAVY if m in loaded] == []
+
+
+def test_spec_loads_no_pathguard_module():
+    # The test references must share no code with what they check, so spec
+    # imports the stdlib only; a stray import fails here by name.
+    loaded = _loaded_after_import("spec", SRC, TESTS)
+    assert [m for m in loaded if m.startswith("pathguard")] == []
 
 
 def test_export_list_resolves_without_repeats():

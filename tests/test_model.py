@@ -28,14 +28,7 @@ from pathguard import (
 from pathguard.model import MAX_PATH_LEN, _all_canonical, _all_checked, _checked
 from pathguard.model import _residue
 from pathguard.verifier import _sharded
-
-
-def _passes_checked(text):
-    try:
-        _checked(text)
-    except PathError:
-        return False
-    return True
+from spec import flaws_by_parts, is_canonical, path_error, per_line_load
 
 
 class TestValidateRaw:
@@ -73,9 +66,9 @@ class TestValidateRaw:
             else:
                 assert check(text) == want
         # _all_checked is the rule's one bulk form: on no texts, on this one
-        # alone and on it among clean ones, it agrees with _checked on each.
+        # alone and on it among clean ones, it agrees with the rule on each.
         for texts in ([], [text], ["/a", text, "/b"]):
-            assert _all_checked(texts) == all(map(_passes_checked, texts))
+            assert _all_checked(texts) == (not any(map(path_error, texts)))
 
 
 class TestCanonicalPath:
@@ -97,8 +90,8 @@ class TestCanonicalPath:
             CanonicalPath("a/")
 
     def test_is_canonical_text_matches_fixpoint(self):
-        # The substring check must agree with "canonicalizing is identity"
-        # on every string over /.a up to length 10 (88,573 strings).
+        # The substring check must agree with "walking is identity" on every
+        # string over /.a up to length 10 (88,573 strings).
         strings = ["/a/..", "/.", "//", "/..a", "/a..", "/.../a"]
         strings += [
             "".join(chars)
@@ -106,26 +99,7 @@ class TestCanonicalPath:
             for chars in itertools.product("/.a", repeat=length)
         ]
         for text in strings:
-            fix = canonicalize(validate_raw(text)) == text
-            assert is_canonical_text(text) == fix, text
-
-
-def _flaws_by_parts(text):
-    """``_residue``'s flaws, named from the parts of ``text`` split on "/":
-    a part between two "/" of the text closed by one is an empty, "." or
-    ".." component exactly when the closed text holds "//", "/./" or
-    "/../" there."""
-    parts = text.split("/")
-    rooted = len(parts) > 1 and parts[0] == ""
-    trailing = len(parts) > 1 and parts[-1] == ""
-    inner = (parts if trailing else [*parts, ""])[1:-1]
-    flaws = [] if rooted else ["missing-leading-slash"]
-    if trailing and parts != ["", ""]:
-        flaws.append("trailing-slash")
-    for part, name in (("", "//"), (".", "/./"), ("..", "/../")):
-        if part in inner:
-            flaws.append(name)
-    return flaws
+            assert is_canonical_text(text) == is_canonical(text), text
 
 
 class TestResidue:
@@ -157,7 +131,7 @@ class TestResidue:
             for chars in itertools.product("/.ab", repeat=length)
         ]
         assert len(texts) == 87_381
-        wrong = [t for t in texts if _residue(t) != _flaws_by_parts(t)]
+        wrong = [t for t in texts if _residue(t) != flaws_by_parts(t)]
         assert wrong[:5] == []
 
 
@@ -171,7 +145,7 @@ TEXTS = [
 ]
 CODES = "/." + "".join(chr(0x100 + i) for i in range(len(TEXTS) - 2))
 TEXT = dict(zip(CODES, TEXTS))
-FLAG = dict(zip(CODES, map(is_canonical_text, TEXTS)))
+FLAG = dict(zip(CODES, map(is_canonical, TEXTS)))
 # 121**2 is more than a sweep block, so the verifier's suffixes are single
 # codes (and "" for the empty list): each is decoded here, once.
 SUFFIX_LIST = {"": [], **{code: [TEXT[code]] for code in CODES}}
@@ -193,7 +167,8 @@ def _all_canonical_wrong(prefix, suffixes):
 
 
 class TestAllCanonical:
-    """The bulk check equals ``all(map(is_canonical_text, texts))``."""
+    """The bulk check equals ``all(map(is_canonical, texts))``, the walk's
+    fixpoint test."""
 
     def test_equals_the_reference_on_every_list_of_up_to_three(self):
         # 1,786,324 lists, sharded over the CPUs as the verifier's sweeps
@@ -222,11 +197,11 @@ class TestAllCanonical:
         # A non-overlapping count of a framed root such as "\0//\0" misses
         # the second of two adjacent roots; a NUL in a text would look like
         # a frame's edge.
-        assert _all_canonical(texts) == all(map(is_canonical_text, texts))
+        assert _all_canonical(texts) == all(map(is_canonical, texts))
 
     @given(st.lists(st.text() | st.text(alphabet="/.a\x00", max_size=6)))
     def test_equals_the_reference_on_arbitrary_text(self, texts):
-        assert _all_canonical(texts) == all(map(is_canonical_text, texts))
+        assert _all_canonical(texts) == all(map(is_canonical, texts))
 
 
 class TestWhitelist:
@@ -340,40 +315,13 @@ LINE_SHAPES = [
 ]
 
 
-def _per_line_load(text, kind, canonicalize_entries=False):
-    """The loader as a walk over the lines: each line checked on its own,
-    in file order. A whitelist is the set of its lines, each told canonical
-    by canonicalizing it; a corpus is the list of its lines, in order and
-    duplicates kept, with no canonical check. ``kind`` is "whitelist" or
-    "corpus", as the errors name it."""
-    paths = []
-    for number, line in enumerate(text.split("\n"), start=1):
-        path = line.strip(" \t\r\n")
-        if not path or path.startswith("#"):
-            continue
-        if "\x00" in path:
-            raise EmbeddedNul(f"{kind} line {number}: path contains a NUL byte")
-        if len(path) > MAX_PATH_LEN:
-            raise PathTooLong(
-                f"{kind} line {number}: path length {len(path)}"
-                f" exceeds limit {MAX_PATH_LEN}"
-            )
-        if kind == "whitelist":
-            canonical = canonicalize(validate_raw(path))
-            if not canonicalize_entries and canonical != path:
-                raise NonCanonicalEntry(number, path)
-            path = canonical
-        paths.append(path)
-    return set(paths) if kind == "whitelist" else paths
-
-
 def _outcome(load):
-    """What ``load()`` returns, or its error's type, message and line
-    number."""
+    """What ``load()`` returns, or its error's class name, message and line
+    number, as ``spec.per_line_load`` gives them."""
     try:
         return load()
     except PathError as exc:
-        return type(exc), str(exc), getattr(exc, "line_number", None)
+        return type(exc).__name__, str(exc), getattr(exc, "line_number", None)
 
 
 class TestLoaderMatchesPerLineLoad:
@@ -395,7 +343,7 @@ class TestLoaderMatchesPerLineLoad:
         for count in range(1, 4):
             for shapes in itertools.product(LINE_SHAPES, repeat=count):
                 text = "\n".join(shapes)
-                want = _outcome(lambda: _per_line_load(text, kind, canonicalize_entries))
+                want = per_line_load(text, kind, canonicalize_entries)
                 data = text.encode("utf-8", "surrogateescape")
                 sources = [
                     text,

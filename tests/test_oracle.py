@@ -5,8 +5,9 @@ import time
 import pytest
 
 from pathguard import canonicalize, rewrite_canonicalize, sanitize, validate_raw
-from pathguard.canonical import _canonical_texts, _walk
+from pathguard.canonical import _canonical_texts
 from pathguard.model import MAX_PATH_LEN
+from spec import canonical_text
 
 
 def _fill(unit: str) -> str:
@@ -90,7 +91,7 @@ class TestRewriteCanonicalize:
     def test_agrees_with_stack_canonicalizer_at_max_length(self, text):
         raw = validate_raw(text)
         assert len(raw) == MAX_PATH_LEN
-        walked = "/" + "/".join(_walk(text)[0])
+        walked = canonical_text(text)
         assert canonicalize(raw) == walked
         assert sanitize(raw, (walked,))
         assert list(_canonical_texts((text,))) == [walked]

@@ -19,7 +19,8 @@ from pathguard import (
     underflows,
     validate_raw,
 )
-from pathguard.canonical import _canonical_texts, _walk
+from pathguard.canonical import _canonical_texts
+from spec import walk
 
 # Small alphabets keep the interesting collisions ("." vs ".." vs names)
 # dense; a wide-unicode strategy covers the arbitrary-bytes claim.
@@ -70,7 +71,7 @@ def test_oracle_equivalence_on_arbitrary_text(text):
 @given(fast_path_texts)
 def test_fast_path_equals_the_walk_on_arbitrary_text(text):
     raw = validate_raw(text)
-    stack, ignored = _walk(raw)
+    stack, ignored = walk(raw)
     walked = "/" + "/".join(stack)
     assert canonicalize(raw) == walked
     assert sanitize(raw, (walked,))
